@@ -84,6 +84,14 @@ L5_DATA_THREADS=3 L5_PAR_THRESHOLD=1024 \
 ./build/tools/mh5sched --seeds 1:5 --policy pct --depth 3 --timeout 120 --jobs "$jobs" --check --race \
     -- ./build/tests/test_mvcc --gtest_brief=1
 
+# aliased-reply sweep: consumers copy sub-selections straight out of a
+# producer's pinned piece while rewrites publish and GC older versions
+# (50 + 50 seeds run in CI)
+./build/tools/mh5sched --seeds 1:5 --timeout 120 --jobs "$jobs" --check --race \
+    -- ./build/tests/test_codec --gtest_brief=1 --gtest_filter='ZeroCopyServe.*'
+./build/tools/mh5sched --seeds 1:5 --policy pct --depth 3 --timeout 120 --jobs "$jobs" --check --race \
+    -- ./build/tests/test_codec --gtest_brief=1 --gtest_filter='ZeroCopyServe.*'
+
 if [[ $tsan -eq 1 ]]; then
     echo "== ThreadSanitizer tree (build-tsan) =="
     cmake -B build-tsan -S . -DLOWFIVE_SANITIZE=thread >/dev/null
@@ -93,12 +101,13 @@ if [[ $tsan -eq 1 ]]; then
     # ring buffers / registry (concurrent emit vs snapshot), the
     # abort/deadline/fault-injection hang-regression suite, the
     # deterministic scheduler (cooperative handoffs + replay corpus),
-    # and the MVCC snapshot store (lock-free pins racing publish/GC)
+    # the MVCC snapshot store (lock-free pins racing publish/GC), and
+    # the aliased serve replies (consumers copying out of pinned pieces)
     # scripts/tsan.supp silences the libstdc++ _Sp_atomic artifact (see
     # the file header); everything else still fails the run
     TSAN_OPTIONS="suppressions=$PWD/scripts/tsan.supp" \
         ctest --test-dir build-tsan --output-on-failure --no-tests=error --timeout 300 -j "$jobs" \
-          -R 'Simmpi|AsyncServe|QueryPipeline|DistVol|Telemetry|FaultInjection|Sched|Stream|Mvcc|Snapshot'
+          -R 'Simmpi|AsyncServe|QueryPipeline|DistVol|Telemetry|FaultInjection|Sched|Stream|Mvcc|Snapshot|ZeroCopyServe'
 fi
 
 if [[ $ubsan -eq 1 ]]; then

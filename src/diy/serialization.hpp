@@ -29,6 +29,9 @@ public:
     std::size_t                   position() const { return pos_; }
     bool                          exhausted() const { return pos_ >= data_.size(); }
     void                          rewind() { pos_ = 0; }
+    /// Unread bytes. Decoders of peer or file bytes compare a claimed
+    /// length against this before they allocate for it.
+    std::size_t remaining() const { return pos_ < data_.size() ? data_.size() - pos_ : 0; }
 
     void save_raw(const void* p, std::size_t n) {
         const auto* b = static_cast<const std::byte*>(p);
@@ -38,15 +41,14 @@ public:
     /// Advance the read cursor past `n` bytes and return a pointer to the
     /// skipped region (valid while the buffer lives) — zero-copy reads.
     const std::byte* skip(std::size_t n) {
-        if (pos_ + n > data_.size())
-            throw std::out_of_range("diy::BinaryBuffer: skip past end");
+        if (n > remaining()) throw std::out_of_range("diy::BinaryBuffer: skip past end");
         const std::byte* p = data_.data() + pos_;
         pos_ += n;
         return p;
     }
 
     void load_raw(void* p, std::size_t n) {
-        if (pos_ + n > data_.size())
+        if (n > remaining())
             throw std::out_of_range("diy::BinaryBuffer: read past end ("
                                     + std::to_string(pos_ + n) + " > " + std::to_string(data_.size()) + ")");
         std::memcpy(p, data_.data() + pos_, n);
@@ -79,7 +81,7 @@ public:
     }
 
     void load(std::string& s) {
-        auto n = load<std::uint64_t>();
+        auto n = load_count(1);
         s.resize(n);
         load_raw(s.data(), n);
     }
@@ -94,7 +96,7 @@ public:
     template <typename T>
         requires std::is_trivially_copyable_v<T>
     void load(std::vector<T>& v) {
-        auto n = load<std::uint64_t>();
+        auto n = load_count(sizeof(T));
         v.resize(n);
         load_raw(v.data(), n * sizeof(T));
     }
@@ -107,6 +109,18 @@ public:
     }
 
 private:
+    /// A length prefix counting elements of `elem_size` bytes, rejected
+    /// when the unread bytes cannot hold that many: the caller's resize
+    /// never allocates more than the message actually carries.
+    std::size_t load_count(std::size_t elem_size) {
+        const auto n = load<std::uint64_t>();
+        if (n > remaining() / elem_size)
+            throw std::out_of_range("diy::BinaryBuffer: length " + std::to_string(n)
+                                    + " exceeds the " + std::to_string(remaining())
+                                    + " bytes remaining");
+        return static_cast<std::size_t>(n);
+    }
+
     std::vector<std::byte> data_;
     std::size_t            pos_ = 0;
 };

@@ -365,9 +365,19 @@ Dataspace Dataspace::load(diy::BinaryBuffer& bb) {
     Dataspace sp(std::move(dims));
     if (bb.load<std::uint8_t>() == 0) {
         sp.select_none();
-        auto n = bb.load<std::uint64_t>();
+        // the bytes may come from a peer or a file: validate the box count
+        // and each box's rank before anything is sized or indexed by them
+        const auto n        = bb.load<std::uint64_t>();
+        const auto box_size = sizeof(std::int32_t) + 2 * sizeof(std::int64_t) * sp.dims().size();
+        if (n > bb.remaining() / box_size)
+            throw Error("h5: dataspace claims " + std::to_string(n) + " boxes but only "
+                        + std::to_string(bb.remaining()) + " bytes remain");
         for (std::uint64_t k = 0; k < n; ++k) {
-            diy::Bounds b(bb.load<std::int32_t>());
+            const auto rank = bb.load<std::int32_t>();
+            if (rank != sp.dim())
+                throw Error("h5: dataspace box rank " + std::to_string(rank)
+                            + " does not match the extent rank " + std::to_string(sp.dim()));
+            diy::Bounds b(rank);
             for (int i = 0; i < b.dim; ++i) {
                 bb.load(b.min[static_cast<std::size_t>(i)]);
                 bb.load(b.max[static_cast<std::size_t>(i)]);
@@ -592,6 +602,44 @@ void scatter_into_packed_vec(const Dataspace& dest_space, void* dest_packed, con
     run_segments(dst, src, segs, sub.npoints() * elem);
 }
 
+void copy_piece_into_packed_vec(const Dataspace& piece_space, const void* piece_packed,
+                                const Dataspace& sub, const Dataspace& dest_space,
+                                void* dest_packed, std::size_t elem) {
+    const auto& pruns = piece_space.runs_by_file();
+    const auto& druns = dest_space.runs_by_file();
+
+    auto*       dst = static_cast<std::byte*>(dest_packed);
+    const auto* src = static_cast<const std::byte*>(piece_packed);
+
+    // one forward merge over three file-ordered run lists: sub's own
+    // packed layout never materializes, so each matched segment goes
+    // straight from the piece's layout to the destination's
+    std::vector<kern::Seg> segs;
+    const auto&            sruns = sub.runs_by_file();
+    segs.reserve(sruns.size());
+    std::size_t pi = 0, di = 0;
+    for (const auto& s : sruns) {
+        std::uint64_t copied = 0;
+        while (copied < s.len) {
+            const std::uint64_t target = s.file_off + copied;
+            while (pi < pruns.size() && pruns[pi].file_off + pruns[pi].len <= target) ++pi;
+            if (pi == pruns.size() || pruns[pi].file_off > target)
+                throw Error("h5: copy_piece_into_packed: element not covered by piece");
+            while (di < druns.size() && druns[di].file_off + druns[di].len <= target) ++di;
+            if (di == druns.size() || druns[di].file_off > target)
+                throw Error("h5: copy_piece_into_packed: element not covered by destination");
+            const std::uint64_t pwithin = target - pruns[pi].file_off;
+            const std::uint64_t dwithin = target - druns[di].file_off;
+            const std::uint64_t take    = std::min(
+                {pruns[pi].len - pwithin, druns[di].len - dwithin, s.len - copied});
+            segs.push_back({(druns[di].packed_off + dwithin) * elem,
+                            (pruns[pi].packed_off + pwithin) * elem, take * elem});
+            copied += take;
+        }
+    }
+    run_segments(dst, src, segs, sub.npoints() * elem);
+}
+
 void extract_via_mapping_vec(const Dataspace& filespace, const Dataspace& memspace,
                              const void* membuf, const Dataspace& want, std::size_t elem,
                              std::vector<std::byte>& out) {
@@ -722,6 +770,26 @@ void scatter_into_packed(const Dataspace& dest_space, void* dest_packed, const D
             copied += take;
         }
     }
+}
+
+void copy_piece_into_packed(const Dataspace& piece_space, const void* piece_packed,
+                            const Dataspace& sub, const Dataspace& dest_space, void* dest_packed,
+                            std::size_t elem) {
+    if (sub.dims() != piece_space.dims() || sub.dims() != dest_space.dims())
+        throw Error("h5: copy_piece_into_packed: extents differ (" + piece_space.str() + ", "
+                    + sub.str() + ", " + dest_space.str() + ")");
+    const KernelMode mode = selection_kernel_mode();
+    obs::Span span("copy_piece_into_packed", "h5.kernel",
+                   {{"bytes", sub.npoints() * elem, nullptr},
+                    {"mode", 0, kernel_mode_name(mode)}});
+    if (mode == KernelMode::vectorized)
+        return copy_piece_into_packed_vec(piece_space, piece_packed, sub, dest_space,
+                                          dest_packed, elem);
+    // the oracle modes compose the two-step kernels through a staging
+    // buffer, so the single-pass merge above has an independent reference
+    std::vector<std::byte> staged;
+    extract_from_packed(piece_space, piece_packed, sub, elem, staged);
+    scatter_into_packed(dest_space, dest_packed, sub, staged.data(), elem);
 }
 
 void extract_via_mapping(const Dataspace& filespace, const Dataspace& memspace,

@@ -178,6 +178,17 @@ void extract_from_packed(const Dataspace& piece_space, const void* piece_packed,
 void scatter_into_packed(const Dataspace& dest_space, void* dest_packed, const Dataspace& sub,
                          const void* sub_packed, std::size_t elem);
 
+/// The two calls above fused: copy `sub` (covered by both selections)
+/// from `piece_packed`, laid out in `piece_space`'s iteration order,
+/// into `dest_packed`, laid out in `dest_space`'s. Byte-identical to
+/// extract_from_packed followed by scatter_into_packed, without the
+/// intermediate packed copy of `sub` in vectorized mode. All three
+/// spaces must share one extent; throws h5::Error when an element of
+/// `sub` is missing from either selection.
+void copy_piece_into_packed(const Dataspace& piece_space, const void* piece_packed,
+                            const Dataspace& sub, const Dataspace& dest_space, void* dest_packed,
+                            std::size_t elem);
+
 /// Materialize the coalesced runs of a selection, in iteration order
 /// (equivalent to `space.runs()` but returned by value).
 std::vector<SelRun> selection_runs(const Dataspace& space);
@@ -212,8 +223,8 @@ void extract_via_mapping_naive(const Dataspace& filespace, const Dataspace& mems
                                std::vector<std::byte>& out);
 
 /// Which implementation backs extract_from_packed / scatter_into_packed /
-/// extract_via_mapping (process-wide, stored in one atomic so bench/test
-/// threads may flip it without a data race):
+/// copy_piece_into_packed / extract_via_mapping (process-wide, stored in
+/// one atomic so bench/test threads may flip it without a data race):
 ///  - naive: per-row binary search, rebuilt run lists — the original
 ///    implementation, kept as the correctness oracle;
 ///  - coalesced: the O(S + D) two-pointer merge with one memcpy per

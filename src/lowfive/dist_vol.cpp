@@ -13,6 +13,7 @@
 #include <cstring>
 #include <deque>
 #include <memory>
+#include <optional>
 #include <set>
 #include <thread>
 
@@ -563,34 +564,33 @@ void DistMetadataVol::handle_read_request(Conn& conn, int src, diy::BinaryBuffer
         reply.save(req_id);
         reply.save<std::uint64_t>(hits.size());
         std::uint64_t          served = 0;
+        std::uint64_t          aliased = 0; // selected bytes of the aliased pieces
         std::vector<std::byte> scratch; // reused staging for pieces we encode
         // pieces served without any copy: the reply header records u8 2
-        // and the piece's packed buffer follows as its own aliased
-        // message on the same (src, tag) stream — the mailbox's
-        // non-overtaking guarantee keeps header and payloads paired
+        // plus the piece's filespace, and the piece's whole packed buffer
+        // follows as its own aliased message on the same (src, tag)
+        // stream — the mailbox's non-overtaking guarantee keeps header
+        // and payloads paired. The consumer copies `sub` straight out of
+        // it: the one copy of the serve → query path.
         std::vector<simmpi::SharedPayload> zc;
         for (auto& [piece, sub] : hits) {
             sub.save(reply);
             const std::uint64_t nbytes = sub.npoints() * elem;
             reply.save(nbytes);
             const bool compress_this = accept && nbytes >= compress_min_bytes_;
-            // zero-copy eligibility: the query wants the whole piece (sub
-            // is a subset of the piece's selection, so equal counts mean
-            // equal selections) and the piece owns a packed copy whose
-            // layout is exactly the wanted bytes
-            const std::vector<std::byte>* full = nullptr;
-            if (!compress_this && nbytes >= zero_copy_min_bytes_
-                && sub.npoints() == piece->filespace.npoints())
-                if (const auto* pb = piece->packed_bytes(); pb && pb->size() == nbytes)
-                    full = pb;
-            if (full) {
+            // the piece's own packed copy of its whole selection, if any
+            const std::vector<std::byte>* packed = piece->packed_bytes();
+            const bool whole = sub.npoints() == piece->filespace.npoints(); // sub ⊆ piece
+            if (packed && !compress_this && nbytes >= zero_copy_min_bytes_) {
                 reply.save<std::uint8_t>(2);
+                piece->filespace.save(reply);
                 // owning alias: the payload shares the snapshot's
                 // lifetime, so the piece's bytes stay valid on the wire
                 // even if the version is superseded and GC'd while the
                 // message is still in flight (a plain recv on the other
                 // side copies instead of moving them out from under us)
-                zc.emplace_back(simmpi::SharedPayload(snap.shared(), full));
+                zc.emplace_back(simmpi::SharedPayload(snap.shared(), packed));
+                aliased += nbytes;
                 c_zero_copy_pieces_.inc();
             } else if (compress_this) {
                 // piece payload goes out as a codec frame: u8 1, u64
@@ -598,10 +598,9 @@ void DistMetadataVol::handle_read_request(Conn& conn, int src, diy::BinaryBuffer
                 // the query wants the whole piece and it owns a packed
                 // copy, compress straight from it — no extract copy.
                 const std::byte* enc_src = nullptr;
-                if (sub.npoints() == piece->filespace.npoints())
-                    if (const auto* pb = piece->packed_bytes(); pb && pb->size() == nbytes)
-                        enc_src = pb->data();
-                if (!enc_src) {
+                if (packed && whole) {
+                    enc_src = packed->data();
+                } else {
                     scratch.clear();
                     piece->extract(sub, elem, scratch);
                     enc_src = scratch.data();
@@ -624,8 +623,10 @@ void DistMetadataVol::handle_read_request(Conn& conn, int src, diy::BinaryBuffer
             }
             served += nbytes;
         }
-        std::uint64_t wire = reply.size();
-        for (const auto& p : zc) wire += p->size();
+        // an aliased piece costs the wire only the bytes the consumer
+        // selects from it (what a derived-datatype send would move), not
+        // the whole piece the alias happens to span
+        const std::uint64_t wire = reply.size() + aliased;
         c_bytes_served_.add(served);
         c_bytes_wire_.add(wire);
         span.end_arg("bytes", served);
@@ -1415,17 +1416,27 @@ void DistMetadataVol::remote_dataset_read(FileEntry& f, Object* node, const Data
     }
     std::byte* scatter_dst = direct ? direct : packed.data();
 
-    // retained per-piece state for the direct path's holes fallback: the
-    // sub-selection plus a pointer into storage kept alive below (reply
-    // buffers, per-piece decode buffers, zero-copy payloads)
+    // one received piece: its sub-selection and where its bytes live.
+    // Aliased (enc 2) pieces point at the producer's whole packed piece
+    // and carry its selection; every other encoding is packed in sub's
+    // own order. Retained for the direct path's holes fallback, with the
+    // bytes kept alive below (reply buffers, per-piece decode buffers,
+    // aliased payloads).
     struct PieceRec {
-        Dataspace        sub;
-        const std::byte* data;
+        Dataspace                sub;
+        std::optional<Dataspace> piece;
+        const std::byte*         data;
+    };
+    auto place = [&](const PieceRec& r, std::byte* dst) {
+        if (r.piece)
+            copy_piece_into_packed(*r.piece, r.data, r.sub, filespace, dst, elem);
+        else
+            scatter_into_packed(filespace, dst, r.sub, r.data, elem);
     };
     std::vector<PieceRec>                    recs;
     std::deque<diy::BinaryBuffer>            kept_replies;
     std::deque<std::unique_ptr<std::byte[]>> kept_decoded; // uninitialized: decode fills them
-    std::vector<simmpi::SharedPayload>       shared_payloads; // alive until scatters finish
+    std::vector<simmpi::SharedPayload>       shared_payloads; // alive until copies finish
 
     // reused staging when nothing is retained; uninitialized for the
     // same reason as the codec scratch (decompress_frame fills exactly
@@ -1435,19 +1446,21 @@ void DistMetadataVol::remote_dataset_read(FileEntry& f, Object* node, const Data
     auto scatter_reply = [&](diy::BinaryBuffer& reply, int from) {
         auto npieces = reply.load<std::uint64_t>();
         for (std::uint64_t k = 0; k < npieces; ++k) {
-            Dataspace        sub    = Dataspace::load(reply);
-            auto             nbytes = reply.load<std::uint64_t>();
-            const auto       enc    = reply.load<std::uint8_t>();
-            const std::byte* data;
+            PieceRec   rec{Dataspace::load(reply), std::nullopt, nullptr};
+            const auto nbytes = reply.load<std::uint64_t>();
+            const auto enc    = reply.load<std::uint8_t>();
+            if (nbytes != rec.sub.npoints() * elem)
+                throw Error("lowfive: data reply piece size does not match its selection");
             if (enc == 2) {
-                // zero-copy piece: the payload follows the header as its
-                // own message on the same (src, tag) stream; scatter
-                // straight out of the producer's (aliased) buffer
+                // aliased piece: the producer's whole packed piece follows
+                // the header as its own message on the same (src, tag)
+                // stream; copy sub straight out of it below
+                rec.piece = Dataspace::load(reply);
                 simmpi::SharedPayload payload;
                 auto st = conn.ic.recv_shared(from, rpc_data_reply, payload);
-                if (st.count != nbytes || !payload)
+                if (!payload || st.count != rec.piece->npoints() * elem)
                     throw Error("lowfive: zero-copy data payload has unexpected size");
-                data = payload->data();
+                rec.data = payload->data();
                 shared_payloads.push_back(std::move(payload));
             } else if (enc == 1) {
                 const auto       fsz   = reply.load<std::uint64_t>();
@@ -1468,16 +1481,16 @@ void DistMetadataVol::remote_dataset_read(FileEntry& f, Object* node, const Data
                 }
                 obs::ScopedTimerNs dec_timer(c_t_decode_ns_);
                 codec::decompress_frame(frame, fsz, dst);
-                data = dst;
+                rec.data = dst;
             } else {
-                data = reply.skip(nbytes); // scatter in place
+                rec.data = reply.skip(nbytes); // scatter in place
             }
             fetched += nbytes;
             {
                 obs::ScopedTimerNs copy_timer(c_t_copy_ns_);
-                scatter_into_packed(filespace, scatter_dst, sub, data, elem);
+                place(rec, scatter_dst);
             }
-            if (direct) recs.push_back({std::move(sub), data});
+            if (direct) recs.push_back(std::move(rec));
         }
     };
     if (pipelining_) {
@@ -1531,8 +1544,7 @@ void DistMetadataVol::remote_dataset_read(FileEntry& f, Object* node, const Data
         if (covered < filespace.npoints()) {
             obs::ScopedTimerNs copy_timer(c_t_copy_ns_);
             std::memset(direct, 0, filespace.npoints() * elem);
-            for (const auto& r : recs)
-                scatter_into_packed(filespace, direct, r.sub, r.data, elem);
+            for (const auto& r : recs) place(r, direct);
         }
     } else {
         obs::ScopedTimerNs copy_timer(c_t_copy_ns_);

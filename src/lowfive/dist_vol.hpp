@@ -117,12 +117,13 @@ public:
     /// compressed (header + codec overhead would dominate). Default 4 KiB.
     void set_compress_min_bytes(std::uint64_t n) { compress_min_bytes_ = n; }
 
-    /// Serve side: when a data query wants a whole piece (the common
-    /// crossing-decomposition case) and the piece owns a packed copy, the
-    /// reply aliases that buffer on the wire instead of extracting —
-    /// zero serve-side copies. Pieces smaller than this many bytes are
-    /// copied inline instead (a second message per piece has fixed
-    /// protocol cost). Default 64 KiB; compression takes precedence.
+    /// Serve side: when a piece owns a packed copy, the reply aliases
+    /// that buffer on the wire for any sub-selection the query wants,
+    /// instead of extracting it — zero serve-side copies; the consumer
+    /// copies the sub-selection straight out of the alias. Selections
+    /// smaller than this many bytes are copied inline instead (a second
+    /// message per piece has fixed protocol cost). Default 64 KiB;
+    /// compression takes precedence.
     void set_zero_copy_min_bytes(std::uint64_t n) { zero_copy_min_bytes_ = n; }
 
     // --- step-versioned streaming (see stream/stream.hpp and DESIGN.md
@@ -174,6 +175,7 @@ public:
         std::uint64_t bytes_served   = 0; ///< payload bytes sent while serving (pre-codec)
         std::uint64_t bytes_fetched  = 0; ///< payload bytes received by queries (post-codec)
         std::uint64_t bytes_wire     = 0; ///< data-reply bytes that crossed the wire
+                                      ///< (selected bytes for aliased pieces)
         std::uint64_t n_data_queries = 0;
         std::uint64_t n_intersect_queries = 0;
         std::uint64_t n_intersect_cache_hits   = 0; ///< reads that skipped the intersect round

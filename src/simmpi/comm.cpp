@@ -73,28 +73,10 @@ void Comm::send_shared(int dest, int tag, SharedPayload payload) const {
     peer_mailbox(dest).push(std::move(env));
 }
 
-Status Comm::recv(int src, int tag, std::vector<std::byte>& out) const {
+Status Comm::recv_payload(int src, int tag, const char* span_name, SharedPayload& out) const {
     if (!world_) throw Error("simmpi: operation on an invalid communicator");
     sched_point("recv");
-    obs::Span span("pt2pt.recv", "simmpi",
-                   {{"comm", context_, nullptr},
-                    {"peer", static_cast<std::uint64_t>(src), nullptr},
-                    {"tag", static_cast<std::uint64_t>(tag), nullptr}});
-    fault_op(tag, false);
-    detail::Envelope env = my_mailbox().pop(context_, src, tag, deadline());
-    Status           st{env.src, env.tag, env.size(), env.check_seq};
-    if (auto* ck = checker())
-        ck->on_recv(world_rank(), context_, peer_world_rank(src), tag,
-                    peer_world_rank(env.src), env.tag, env.check_seq);
-    span.end_arg("bytes", st.count);
-    out = detail::take_payload(std::move(env.payload));
-    return st;
-}
-
-Status Comm::recv_shared(int src, int tag, SharedPayload& out) const {
-    if (!world_) throw Error("simmpi: operation on an invalid communicator");
-    sched_point("recv");
-    obs::Span span("pt2pt.recv_shared", "simmpi",
+    obs::Span span(span_name, "simmpi",
                    {{"comm", context_, nullptr},
                     {"peer", static_cast<std::uint64_t>(src), nullptr},
                     {"tag", static_cast<std::uint64_t>(tag), nullptr}});
@@ -109,15 +91,28 @@ Status Comm::recv_shared(int src, int tag, SharedPayload& out) const {
     return st;
 }
 
+Status Comm::recv(int src, int tag, std::vector<std::byte>& out) const {
+    SharedPayload payload;
+    Status        st = recv_payload(src, tag, "pt2pt.recv", payload);
+    out              = detail::take_payload(std::move(payload));
+    return st;
+}
+
+Status Comm::recv_shared(int src, int tag, SharedPayload& out) const {
+    return recv_payload(src, tag, "pt2pt.recv_shared", out);
+}
+
 Status Comm::recv_into(int src, int tag, void* buf, std::size_t capacity) const {
-    std::vector<std::byte> raw;
-    Status                 st = recv(src, tag, raw);
+    // copy straight out of the envelope's payload: one copy whether or
+    // not the buffer is shared with other destinations
+    SharedPayload payload;
+    Status        st = recv_payload(src, tag, "pt2pt.recv", payload);
     if (st.count > capacity) {
         check_count(src, tag, "recv_into", capacity, st.count);
         throw Error("simmpi: recv_into buffer too small (" + std::to_string(capacity)
                     + " < " + std::to_string(st.count) + ")");
     }
-    if (st.count) std::memcpy(buf, raw.data(), st.count);
+    if (st.count) std::memcpy(buf, payload->data(), st.count);
     return st;
 }
 

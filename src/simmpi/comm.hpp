@@ -335,6 +335,11 @@ private:
     }
     detail::Mailbox& peer_mailbox(int dest) const;
 
+    /// The one receive: pop the matching envelope (sched, fault, checker
+    /// and obs hooks included) and hand over its payload untouched.
+    /// recv, recv_shared and recv_into differ only in what they do with it.
+    Status recv_payload(int src, int tag, const char* span_name, SharedPayload& out) const;
+
     int world_rank() const { return group_[static_cast<std::size_t>(rank_)]; }
 
     /// Resolve this handle's timeout (per-handle override or world

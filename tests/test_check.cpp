@@ -260,6 +260,45 @@ TEST(Check, RecvVectorCountMismatch) {
         << e.what();
 }
 
+TEST(Check, RecvIntoCountMismatch) {
+    auto e = expect_check_error(2, [](Comm& c) {
+        if (c.rank() == 0) {
+            std::array<std::int32_t, 3> three{1, 2, 3};
+            c.send(1, 4, three.data(), sizeof(three));
+        } else {
+            std::array<std::int32_t, 2> two{};
+            (void)c.recv_into(0, 4, two.data(), sizeof(two));
+        }
+    });
+    EXPECT_EQ(e.kind(), "count-mismatch");
+    EXPECT_NE(std::string(e.what()).find("recv_into on rank 1 (src=0, tag=4) expected 8 bytes "
+                                         "but the arriving envelope carries 12"),
+              std::string::npos)
+        << e.what();
+}
+
+TEST(Check, RecvIntoTooSmallStillThrowsInReportMode) {
+    // report mode records the diagnostic without raising, so the
+    // receive's own error surfaces with its unchanged text
+    Runtime::run(
+        2,
+        [](Comm& c, int rank) {
+            if (rank == 0) {
+                std::array<std::int32_t, 3> three{1, 2, 3};
+                c.send(1, 4, three.data(), sizeof(three));
+                return;
+            }
+            std::array<std::int32_t, 2> two{};
+            try {
+                (void)c.recv_into(0, 4, two.data(), sizeof(two));
+                ADD_FAILURE() << "recv_into accepted a 12-byte message into 8 bytes";
+            } catch (const Error& e) {
+                EXPECT_STREQ(e.what(), "simmpi: recv_into buffer too small (8 < 12)");
+            }
+        },
+        report_opts());
+}
+
 // --- clean programs stay silent ----------------------------------------------
 
 TEST(Check, CleanProgramProducesZeroDiagnostics) {

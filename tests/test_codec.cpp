@@ -453,6 +453,203 @@ TEST(ZeroCopyServe, ShallowPiecesServeWithoutAliasing) {
         {workflow::Link{0, 1, "*"}});
 }
 
+// --- aliased sub-selections: the consumer copies straight out of the piece ----
+
+namespace {
+
+// a 64×32×32 uint64 grid (512 KiB): producers own x-slabs, consumers read
+// z-slabs, so every reply piece is a strided quarter of the grid — a
+// sub-selection of a producer's x-slab piece, 128 KiB with two ranks a side
+constexpr std::uint64_t kX = 64, kY = 32, kZ = 32;
+constexpr std::uint64_t kRound = 1'000'003; // value stride between rewrites
+
+h5::Dataspace grid_slab(int axis, int rank, int size) {
+    diy::Bounds b(3);
+    b.max        = {static_cast<std::int64_t>(kX), static_cast<std::int64_t>(kY),
+                    static_cast<std::int64_t>(kZ)};
+    const auto u = static_cast<std::size_t>(axis);
+    const auto n = b.max[u];
+    b.min[u]     = n * rank / size;
+    b.max[u]     = n * (rank + 1) / size;
+    h5::Dataspace sel({kX, kY, kZ});
+    sel.select_box(b);
+    return sel;
+}
+
+std::uint64_t grid_value(std::uint64_t round, std::int64_t x, std::int64_t y, std::int64_t z) {
+    const auto linear = (x * static_cast<std::int64_t>(kY) + y) * static_cast<std::int64_t>(kZ) + z;
+    return round * kRound + static_cast<std::uint64_t>(linear);
+}
+
+/// Write this rank's x-slab of round `round` into `name`.
+void write_x_slab(workflow::Context& ctx, const std::string& name, std::uint64_t round) {
+    h5::File      f   = h5::File::create(name, ctx.vol);
+    auto          d   = f.create_dataset("g", h5::dt::uint64(), h5::Dataspace({kX, kY, kZ}));
+    h5::Dataspace sel = grid_slab(0, ctx.rank(), ctx.size());
+    const auto&   b   = sel.boxes()[0];
+    std::vector<std::uint64_t> vals;
+    vals.reserve(sel.npoints());
+    for (auto x = b.min[0]; x < b.max[0]; ++x)
+        for (auto y = b.min[1]; y < b.max[1]; ++y)
+            for (auto z = b.min[2]; z < b.max[2]; ++z) vals.push_back(grid_value(round, x, y, z));
+    d.write(vals.data(), sel);
+    f.close();
+}
+
+/// Read this rank's z-slab of `name` into a contiguous buffer and prove
+/// every element belongs to one round, the one the open pinned; returns it.
+std::uint64_t read_z_slab(workflow::Context& ctx, const std::string& name) {
+    h5::File      f   = h5::File::open(name, ctx.vol);
+    h5::Dataspace sel = grid_slab(2, ctx.rank(), ctx.size());
+    std::vector<std::uint64_t> vals(sel.npoints(), ~0ull);
+    f.open_dataset("g").read(vals.data(), h5::Dataspace::linear(sel.npoints()), sel);
+    f.close();
+    const auto&         b     = sel.boxes()[0];
+    const std::uint64_t round = vals[0] / kRound;
+    std::size_t         k     = 0;
+    for (auto x = b.min[0]; x < b.max[0]; ++x)
+        for (auto y = b.min[1]; y < b.max[1]; ++y)
+            for (auto z = b.min[2]; z < b.max[2]; ++z, ++k)
+                if (vals[k] != grid_value(round, x, y, z)) {
+                    ADD_FAILURE() << "element (" << x << "," << y << "," << z << ") reads "
+                                  << vals[k] << ", not round " << round << "'s value";
+                    return round;
+                }
+    return round;
+}
+
+} // namespace
+
+TEST(ZeroCopyServe, CrossedSubSelectionsAliasAndWireCountsSelectedBytes) {
+    // x-slabs written, z-slabs read: no reply piece is a whole piece, yet
+    // every one is served as an alias of the producer's packed piece, and
+    // the wire is charged for the selected quarter, not the aliased half
+    const std::uint64_t piece_bytes = kX / 2 * kY * kZ * sizeof(std::uint64_t);
+    workflow::run(
+        {
+            {"producer", 2,
+             [&](workflow::Context& ctx) {
+                 write_x_slab(ctx, "zc_crossed.h5", 1);
+                 const auto st = ctx.vol->stats();
+                 EXPECT_EQ(st.n_zero_copy_pieces, 2u) << "one aliased sub per consumer";
+                 EXPECT_EQ(st.n_compressed_pieces, 0u);
+                 EXPECT_EQ(st.bytes_served, piece_bytes); // two halves of this piece
+                 EXPECT_GE(st.bytes_wire, st.bytes_served);
+                 EXPECT_LT(st.bytes_wire, st.n_zero_copy_pieces * piece_bytes)
+                     << "the wire must count selected bytes, not aliased piece sizes";
+             }},
+            {"consumer", 2,
+             [&](workflow::Context& ctx) { EXPECT_EQ(read_z_slab(ctx, "zc_crossed.h5"), 1u); }},
+        },
+        {workflow::Link{0, 1, "*"}});
+}
+
+TEST(ZeroCopyServe, PartialAliasedPieceWithHolesReadsZeroIntoPoison) {
+    // the producer writes rows [0, 128) of a 256×256 grid; the consumer
+    // reads the window rows [64, 192) × cols [0, 128). Its reply piece is
+    // a strided 64 KiB sub of the 256 KiB piece, served aliased; rows
+    // [128, 192) were never written and must read as zero, both through
+    // the direct (contiguous memory) path's holes fallback and through
+    // the staged path of a strided memory selection
+    constexpr std::int64_t n = 256;
+    auto box = [](std::int64_t x0, std::int64_t x1, std::int64_t y0, std::int64_t y1) {
+        diy::Bounds b(2);
+        b.min = {x0, y0};
+        b.max = {x1, y1};
+        return b;
+    };
+    auto value = [](std::int64_t x, std::int64_t y) {
+        return static_cast<std::uint64_t>(x * n + y) * 5 + 3;
+    };
+    workflow::run(
+        {
+            {"producer", 1,
+             [&](workflow::Context& ctx) {
+                 h5::File f = h5::File::create("zc_part.h5", ctx.vol);
+                 auto d = f.create_dataset("g", h5::dt::uint64(), h5::Dataspace({n, n}));
+                 h5::Dataspace sel({n, n});
+                 sel.select_box(box(0, n / 2, 0, n));
+                 std::vector<std::uint64_t> vals;
+                 for (std::int64_t x = 0; x < n / 2; ++x)
+                     for (std::int64_t y = 0; y < n; ++y) vals.push_back(value(x, y));
+                 d.write(vals.data(), sel);
+                 f.close();
+                 EXPECT_EQ(ctx.vol->stats().n_zero_copy_pieces, 2u);
+             }},
+            {"consumer", 1,
+             [&](workflow::Context& ctx) {
+                 h5::File      f = h5::File::open("zc_part.h5", ctx.vol);
+                 auto          d = f.open_dataset("g");
+                 h5::Dataspace window({n, n});
+                 window.select_box(box(64, 192, 0, 128));
+                 auto expect = [&](std::int64_t x, std::int64_t y) {
+                     return x < n / 2 ? value(x, y) : 0u;
+                 };
+
+                 // direct path: contiguous memory, poisoned
+                 std::vector<std::uint64_t> flat(window.npoints(), ~0ull);
+                 d.read(flat.data(), h5::Dataspace::linear(flat.size()), window);
+                 std::size_t k = 0;
+                 for (std::int64_t x = 64; x < 192; ++x)
+                     for (std::int64_t y = 0; y < 128; ++y, ++k)
+                         ASSERT_EQ(flat[k], expect(x, y)) << x << "," << y;
+
+                 // staged path: every other column of a wider poisoned
+                 // buffer; the skipped columns must stay poisoned
+                 h5::Dataspace mem({128, 256});
+                 const std::uint64_t start[] = {0, 0}, stride[] = {1, 2}, count[] = {128, 128},
+                                     block[] = {1, 1};
+                 mem.select_hyperslab(start, stride, count, block);
+                 std::vector<std::uint64_t> wide(128 * 256, ~0ull);
+                 d.read(wide.data(), mem, window);
+                 for (std::int64_t x = 0; x < 128; ++x)
+                     for (std::int64_t y = 0; y < 256; ++y) {
+                         const auto got = wide[static_cast<std::size_t>(x * 256 + y)];
+                         if (y % 2)
+                             ASSERT_EQ(got, ~0ull) << x << "," << y;
+                         else
+                             ASSERT_EQ(got, expect(x + 64, y / 2)) << x << "," << y;
+                     }
+                 f.close();
+             }},
+        },
+        {workflow::Link{0, 1, "*"}});
+}
+
+TEST(ZeroCopyServe, RewriteRacingAliasedPartialReadsSeesOpenedVersion) {
+    // producers rewrite the same file while consumers' aliased sub-
+    // selection reads are in flight: the alias pins the snapshot the
+    // consumer opened, so each read must see exactly one round's bytes,
+    // never a newer publish and never a GC'd buffer
+    constexpr int    rounds = 6;
+    workflow::Options opts;
+    opts.mode             = workflow::Mode::in_situ();
+    opts.background_serve = true;
+    workflow::run(
+        {
+            {"producer", 2,
+             [&](workflow::Context& ctx) {
+                 for (int r = 1; r <= rounds; ++r)
+                     write_x_slab(ctx, "zc_race.h5", static_cast<std::uint64_t>(r));
+                 ctx.vol->finish_serving();
+                 EXPECT_GT(ctx.vol->stats().n_zero_copy_pieces, 0u);
+                 EXPECT_EQ(ctx.vol->snapshot_store().outstanding_pins(), 0u);
+             }},
+            {"consumer", 2,
+             [&](workflow::Context& ctx) {
+                 std::uint64_t prev = 0;
+                 for (int r = 1; r <= rounds; ++r) {
+                     const auto got = read_z_slab(ctx, "zc_race.h5");
+                     EXPECT_GE(got, prev) << "round " << r;
+                     EXPECT_GE(got, 1u);
+                     EXPECT_LE(got, static_cast<std::uint64_t>(rounds));
+                     prev = got;
+                 }
+             }},
+        },
+        {workflow::Link{0, 1, "*"}}, opts);
+}
+
 TEST(CodecEndToEnd, UncompressedWhenNotAdvertised) {
     // without set_compress on the consumer, no piece is framed
     const std::uint64_t total = 4096;

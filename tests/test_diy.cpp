@@ -193,6 +193,59 @@ TEST(BinaryBuffer, ReadPastEndThrows) {
     EXPECT_THROW(bb.load<std::int16_t>(), std::out_of_range);
 }
 
+TEST(BinaryBuffer, HugeClaimedLengthsThrowBeforeAllocating) {
+    // a 10-byte message whose length prefix claims 64 GiB: the decoder
+    // must reject the claim against the 2 bytes that follow, not resize
+    // to it first (that would try to allocate and zero-fill 64 GiB)
+    const std::uint64_t claim = std::uint64_t{64} << 30;
+    auto crafted = [&](std::uint64_t n) {
+        BinaryBuffer bb;
+        bb.save(n);
+        bb.save<std::uint16_t>(0xabcd);
+        EXPECT_EQ(bb.size(), 10u);
+        return bb;
+    };
+    {
+        auto        bb = crafted(claim);
+        std::string s;
+        EXPECT_THROW(bb.load(s), std::out_of_range);
+        EXPECT_LT(s.capacity(), 1024u); // at most the SSO buffer
+    }
+    {
+        auto                       bb = crafted(claim / sizeof(std::uint64_t));
+        std::vector<std::uint64_t> v;
+        EXPECT_THROW(bb.load(v), std::out_of_range);
+        EXPECT_EQ(v.capacity(), 0u);
+    }
+    {
+        // a count whose byte size overflows size_t is rejected too
+        auto                       bb = crafted(~std::uint64_t{0});
+        std::vector<std::uint64_t> v;
+        EXPECT_THROW(bb.load(v), std::out_of_range);
+    }
+    {
+        // exactly the remaining bytes is still accepted
+        auto                       bb = crafted(1);
+        std::vector<std::uint16_t> v;
+        bb.load(v);
+        EXPECT_EQ(v, std::vector<std::uint16_t>{0xabcd});
+        EXPECT_TRUE(bb.exhausted());
+    }
+}
+
+TEST(BinaryBuffer, SkipAndLoadRawRejectOverflowingLengths) {
+    BinaryBuffer bb;
+    bb.save<std::uint32_t>(7);
+    (void)bb.load<std::uint16_t>();
+    // pos + n would wrap around to a small value
+    EXPECT_THROW(bb.skip(~std::size_t{0}), std::out_of_range);
+    std::byte sink[4];
+    EXPECT_THROW(bb.load_raw(sink, ~std::size_t{0} - 1), std::out_of_range);
+    EXPECT_EQ(bb.remaining(), 2u);
+    EXPECT_NE(bb.skip(2), nullptr);
+    EXPECT_EQ(bb.remaining(), 0u);
+}
+
 TEST(BinaryBuffer, RewindReplays) {
     BinaryBuffer bb;
     bb.save<int>(42);

@@ -103,3 +103,68 @@ TEST_F(FormatTest, GarbageMetadataOffsetFails) {
     auto vol = std::make_shared<NativeVol>();
     EXPECT_THROW(File::open(path_, vol), Error);
 }
+
+// --- crafted dataspace encodings ---------------------------------------------
+//
+// Dataspace::load decodes peer messages (serve requests and replies) as
+// well as .mh5 metadata, so its length and rank fields are untrusted.
+
+namespace {
+
+/// A 2-d 4×4 extent with a box-list selection header claiming `nboxes`;
+/// the caller appends the box bytes.
+diy::BinaryBuffer crafted_space(std::uint64_t nboxes) {
+    diy::BinaryBuffer bb;
+    bb.save(std::vector<std::uint64_t>{4, 4});
+    bb.save<std::uint8_t>(0); // not "all": a box list follows
+    bb.save(nboxes);
+    return bb;
+}
+
+} // namespace
+
+TEST(DataspaceDecode, CraftedBuffersThrowTypedErrors) {
+    {
+        // box rank above diy::max_dim: decoding it would index past the
+        // end of Bounds::min/max
+        auto bb = crafted_space(1);
+        bb.save<std::int32_t>(diy::max_dim + 1);
+        for (int i = 0; i < 2 * (diy::max_dim + 1); ++i) bb.save<std::int64_t>(1);
+        EXPECT_THROW(Dataspace::load(bb), Error);
+    }
+    {
+        // box rank that disagrees with the extent's
+        auto bb = crafted_space(1);
+        bb.save<std::int32_t>(1);
+        bb.save<std::int64_t>(0);
+        bb.save<std::int64_t>(2);
+        EXPECT_THROW(Dataspace::load(bb), Error);
+    }
+    {
+        auto bb = crafted_space(1);
+        bb.save<std::int32_t>(-3);
+        EXPECT_THROW(Dataspace::load(bb), Error);
+    }
+    {
+        // a box count the remaining bytes cannot hold (one box is 36
+        // bytes at rank 2; two follow)
+        auto bb = crafted_space(std::uint64_t{1} << 40);
+        for (int k = 0; k < 2; ++k) {
+            bb.save<std::int32_t>(2);
+            for (int i = 0; i < 4; ++i) bb.save<std::int64_t>(1);
+        }
+        EXPECT_THROW(Dataspace::load(bb), Error);
+    }
+    {
+        // the well-formed encoding of the same shape still decodes
+        Dataspace sp(Extent{4, 4});
+        diy::Bounds b(2);
+        b.min = {1, 0};
+        b.max = {3, 4};
+        sp.select_box(b);
+        diy::BinaryBuffer bb;
+        sp.save(bb);
+        EXPECT_EQ(Dataspace::load(bb), sp);
+        EXPECT_TRUE(bb.exhausted());
+    }
+}

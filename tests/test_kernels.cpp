@@ -1,7 +1,8 @@
 /// Property tests for the data-plane copy kernels: the width-specialized
 /// kern:: copy primitives, byte identity of the three selection kernel
 /// modes (naive / coalesced / vectorized) across odd element widths and
-/// degenerate selections, pool-on/off identity, and schedule-hash replay
+/// degenerate selections, the fused piece → destination copy against its
+/// two-step oracle, pool-on/off identity, and schedule-hash replay
 /// with the pool forced on under the deterministic scheduler.
 
 #include <h5/copy.hpp>
@@ -274,6 +275,145 @@ TEST(KernelModeEdge, SingleElementRowsOddWidths) {
             scatter_into_packed_naive(piece, dst_ref.data(), want, ref.data(), elem);
             ASSERT_EQ(dst_got, dst_ref) << kernel_mode_name(mode) << " elem=" << elem;
         }
+    }
+}
+
+// --- fused piece → destination copy -----------------------------------------
+
+namespace {
+
+Dataspace from_boxes(const Extent& dims, const std::vector<diy::Bounds>& boxes) {
+    Dataspace sp(dims);
+    sp.select_none();
+    for (const auto& b : boxes) sp.add_box(b);
+    return sp;
+}
+
+/// A random strided selection: a regular hyperslab with per-axis
+/// start/stride/block drawn to fit `dims`.
+Dataspace random_strided(std::mt19937& rng, const Extent& dims) {
+    std::vector<std::uint64_t> start, stride, count, block;
+    for (auto n : dims) {
+        const std::uint64_t blk = 1 + rng() % std::max<std::uint64_t>(1, n / 3);
+        const std::uint64_t st  = blk + rng() % 3;
+        const std::uint64_t s0  = rng() % std::min<std::uint64_t>(n - blk + 1, 3);
+        start.push_back(s0);
+        stride.push_back(st);
+        block.push_back(blk);
+        count.push_back(1 + (n - s0 - blk) / st);
+    }
+    Dataspace sp(dims);
+    sp.select_hyperslab(start, stride, count, block);
+    return sp;
+}
+
+/// copy_piece_into_packed under every kernel mode (and, in vectorized
+/// mode, with the pool forced to fan out) against the two-step naive
+/// oracle: extract `sub` from the piece, scatter it into the destination.
+void check_fused_copy(std::mt19937& rng, std::size_t elem) {
+    KernelEnvGuard guard;
+
+    const Extent dims{6 + rng() % 30, 4 + rng() % 24};
+    diy::Bounds  domain(2);
+    domain.max = {static_cast<std::int64_t>(dims[0]), static_cast<std::int64_t>(dims[1])};
+
+    // piece and destination: random multi-box selections, or strided ones
+    auto random_space = [&](int depth) {
+        if (rng() % 3 == 0) return random_strided(rng, dims);
+        std::vector<diy::Bounds> boxes;
+        random_partition(rng, domain, depth, boxes);
+        std::shuffle(boxes.begin(), boxes.end(), rng);
+        std::vector<diy::Bounds> kept;
+        for (const auto& b : boxes)
+            if (rng() % 4) kept.push_back(b);
+        return from_boxes(dims, kept);
+    };
+    const Dataspace piece = random_space(4);
+    const Dataspace dest  = random_space(5);
+
+    // sub: part of what both cover, optionally thinned by a stride
+    auto common = intersect_selections(piece, dest);
+    if (rng() % 2)
+        common = intersect_selections(from_boxes(dims, common), random_strided(rng, dims));
+    std::vector<diy::Bounds> picked;
+    for (const auto& b : common)
+        if (rng() % 5) picked.push_back(b);
+    std::shuffle(picked.begin(), picked.end(), rng);
+    const Dataspace sub = from_boxes(dims, picked);
+
+    const auto piece_packed = pattern_buffer(piece.npoints() * elem, 5);
+    const auto dest_init    = pattern_buffer(dest.npoints() * elem, 6); // poison
+
+    std::vector<std::byte> staged;
+    extract_from_packed_naive(piece, piece_packed.data(), sub, elem, staged);
+    auto ref = dest_init;
+    scatter_into_packed_naive(dest, ref.data(), sub, staged.data(), elem);
+
+    for (KernelMode mode : {KernelMode::naive, KernelMode::coalesced, KernelMode::vectorized}) {
+        set_selection_kernel_mode(mode);
+        for (bool fan_out : {false, true}) {
+            if (fan_out && (mode != KernelMode::vectorized || par::workers() < 1)) continue;
+            par::set_enabled(fan_out);
+            par::set_parallel_threshold_bytes(fan_out ? 1 : guard.thresh);
+            auto got = dest_init;
+            copy_piece_into_packed(piece, piece_packed.data(), sub, dest, got.data(), elem);
+            ASSERT_EQ(got, ref) << kernel_mode_name(mode) << " elem=" << elem
+                                << " fan_out=" << fan_out << " piece=" << piece.str()
+                                << " sub=" << sub.str() << " dest=" << dest.str();
+        }
+        par::set_enabled(guard.pool);
+    }
+}
+
+} // namespace
+
+class FusedCopyProperty : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(FusedCopyProperty, MatchesExtractThenScatterInAllModes) {
+    std::mt19937 rng(GetParam() * 7919u);
+    for (std::size_t elem : {1u, 3u, 4u, 8u})
+        for (int round = 0; round < 4; ++round) check_fused_copy(rng, elem);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FusedCopyProperty, ::testing::Range(1u, 13u));
+
+TEST(FusedCopy, ThrowsOnSubNotCoveredInAllModes) {
+    KernelEnvGuard guard;
+    const Extent   dims{8, 8};
+    auto           rows = [&](std::int64_t lo, std::int64_t hi) {
+        diy::Bounds b(2);
+        b.min = {lo, 0};
+        b.max = {hi, 8};
+        return from_boxes(dims, {b});
+    };
+    const Dataspace piece = rows(0, 4);
+    const Dataspace dest  = rows(2, 8);
+    const auto      piece_packed = pattern_buffer(piece.npoints() * 4, 9);
+    std::vector<std::byte> out(dest.npoints() * 4);
+
+    for (KernelMode mode : {KernelMode::naive, KernelMode::coalesced, KernelMode::vectorized}) {
+        set_selection_kernel_mode(mode);
+        const char* name = kernel_mode_name(mode);
+        // rows 4..5 lie in dest but not in the piece
+        EXPECT_THROW(copy_piece_into_packed(piece, piece_packed.data(), rows(2, 6), dest,
+                                            out.data(), 4),
+                     h5::Error)
+            << name;
+        // rows 0..1 lie in the piece but not in dest
+        EXPECT_THROW(copy_piece_into_packed(piece, piece_packed.data(), rows(0, 2), dest,
+                                            out.data(), 4),
+                     h5::Error)
+            << name;
+        // a sub over a different extent never matches either layout
+        Dataspace other(Extent{8, 9});
+        EXPECT_THROW(
+            copy_piece_into_packed(piece, piece_packed.data(), other, dest, out.data(), 4),
+            h5::Error)
+            << name;
+        // the covered part alone copies fine
+        EXPECT_NO_THROW(copy_piece_into_packed(piece, piece_packed.data(), rows(2, 4), dest,
+                                               out.data(), 4))
+            << name;
     }
 }
 

@@ -312,3 +312,30 @@ TEST(SimMpi, UserTagsMustBeNonNegative) {
     // every rank throws on its own send, so no rank is left blocked
     EXPECT_THROW(Runtime::run(2, [](Comm& c) { c.send_value((c.rank() + 1) % 2, -5, 0); }), Error);
 }
+
+TEST(SimMpi, RecvIntoFanOutPayloadDeliversEveryByte) {
+    // one shared payload enqueued at three ranks: each recv_into must copy
+    // the whole buffer straight out of the shared bytes, and the sender's
+    // buffer must stay intact for the receivers still holding it
+    constexpr std::size_t n = (1u << 16) + 13;
+    Runtime::run(4, [&](Comm& c) {
+        if (c.rank() == 0) {
+            std::vector<std::byte> bytes(n);
+            for (std::size_t i = 0; i < n; ++i)
+                bytes[i] = static_cast<std::byte>((i * 131 + 7) & 0xff);
+            const SharedPayload shared = make_shared_payload(std::move(bytes));
+            for (int dest = 1; dest < 4; ++dest) c.send_shared(dest, 3, shared);
+            c.barrier();
+            EXPECT_EQ(shared->size(), n);
+        } else {
+            std::vector<std::byte> got(n + 8, std::byte{0xee});
+            const Status           st = c.recv_into(0, 3, got.data(), got.size());
+            EXPECT_EQ(st.source, 0);
+            EXPECT_EQ(st.count, n);
+            for (std::size_t i = 0; i < n; ++i)
+                ASSERT_EQ(got[i], static_cast<std::byte>((i * 131 + 7) & 0xff)) << i;
+            for (std::size_t i = n; i < got.size(); ++i) ASSERT_EQ(got[i], std::byte{0xee});
+            c.barrier();
+        }
+    });
+}
