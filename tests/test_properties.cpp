@@ -170,15 +170,20 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SelectionProperty, ::testing::Range(1u, 16u));
 
 // --- decomposer invariants ---------------------------------------------------------
 
+// All members are 64-bit so the struct has no padding: gtest prints a parameter without
+// a PrintTo as its raw bytes, and CTest's test discovery names each case after that
+// print, so uninitialised padding would give the cases a different name on every run.
 struct DecompParam {
-    int          nblocks;
+    std::int64_t nblocks;
     std::int64_t x, y, z;
 };
+static_assert(sizeof(DecompParam) == 4 * sizeof(std::int64_t), "DecompParam must have no padding");
 
 class DecomposerProperty : public ::testing::TestWithParam<DecompParam> {};
 
 TEST_P(DecomposerProperty, BlocksTileTheDomainExactly) {
-    auto [n, x, y, z] = GetParam();
+    const auto [nblocks, x, y, z] = GetParam();
+    const int n = static_cast<int>(nblocks);
     diy::Bounds domain(3);
     domain.max = {x, y, z};
     diy::RegularDecomposer dec(domain, n);
