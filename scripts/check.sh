@@ -92,6 +92,15 @@ L5_DATA_THREADS=3 L5_PAR_THRESHOLD=1024 \
 ./build/tools/mh5sched --seeds 1:5 --policy pct --depth 3 --timeout 120 --jobs "$jobs" --check --race \
     -- ./build/tests/test_codec --gtest_brief=1 --gtest_filter='ZeroCopyServe.*'
 
+# page-warm piece pool sweep: recycled Deep buffers across rounds, the
+# drain at VOL teardown, and dirty buffers on the writable-file read
+# path (the aliased-payload pool test rides in the sweep above; 50 + 50
+# seeds of both run in CI)
+./build/tools/mh5sched --seeds 1:5 --timeout 120 --jobs "$jobs" --check --race \
+    -- ./build/tests/test_pool --gtest_brief=1 --gtest_filter='BytePool.*'
+./build/tools/mh5sched --seeds 1:5 --policy pct --depth 3 --timeout 120 --jobs "$jobs" --check --race \
+    -- ./build/tests/test_pool --gtest_brief=1 --gtest_filter='BytePool.*'
+
 if [[ $tsan -eq 1 ]]; then
     echo "== ThreadSanitizer tree (build-tsan) =="
     cmake -B build-tsan -S . -DLOWFIVE_SANITIZE=thread >/dev/null
@@ -101,13 +110,14 @@ if [[ $tsan -eq 1 ]]; then
     # ring buffers / registry (concurrent emit vs snapshot), the
     # abort/deadline/fault-injection hang-regression suite, the
     # deterministic scheduler (cooperative handoffs + replay corpus),
-    # the MVCC snapshot store (lock-free pins racing publish/GC), and
-    # the aliased serve replies (consumers copying out of pinned pieces)
+    # the MVCC snapshot store (lock-free pins racing publish/GC), the
+    # aliased serve replies (consumers copying out of pinned pieces), the
+    # piece pool, and the kernels/codec/wire model (as in CI)
     # scripts/tsan.supp silences the libstdc++ _Sp_atomic artifact (see
     # the file header); everything else still fails the run
     TSAN_OPTIONS="suppressions=$PWD/scripts/tsan.supp" \
         ctest --test-dir build-tsan --output-on-failure --no-tests=error --timeout 300 -j "$jobs" \
-          -R 'Simmpi|AsyncServe|QueryPipeline|DistVol|Telemetry|FaultInjection|Sched|Stream|Mvcc|Snapshot|ZeroCopyServe'
+          -R 'Simmpi|AsyncServe|QueryPipeline|DistVol|Telemetry|FaultInjection|Sched|Kern|Codec|ZeroCopy|WireModel|Stream|Mvcc|Snapshot|BytePool'
 fi
 
 if [[ $ubsan -eq 1 ]]; then

@@ -1,5 +1,6 @@
 #include "native_vol.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 namespace h5 {
@@ -184,7 +185,7 @@ void NativeVol::dataset_write(void* dset, const Dataspace& memspace, const Datas
     DataPiece piece;
     piece.filespace = filespace;
     piece.ownership = Ownership::Deep;
-    piece.owned.resize(filespace.npoints() * d->type.size());
+    piece.owned     = take_piece_bytes(filespace.npoints() * d->type.size());
     pack_selection(memspace, buf, d->type.size(), piece.owned.data());
     d->pieces.push_back(std::move(piece));
 }
@@ -195,16 +196,20 @@ void NativeVol::dataset_read(void* dset, const Dataspace& memspace, const Datasp
     OpenFile& f = owner_of(d);
     check_spaces(memspace, filespace, *d, "dataset_read");
 
-    const std::size_t      elem = d->type.size();
-    std::vector<std::byte> packed(filespace.npoints() * elem); // zero = fill value
+    const std::size_t elem   = d->type.size();
+    auto              packed = take_piece_bytes(filespace.npoints() * elem);
     if (f.writable) {
+        // pieces may leave holes, which read as the fill value (zero)
+        std::fill(packed.begin(), packed.end(), std::byte{0});
         read_from_pieces(*d, filespace, packed.data());
     } else {
+        // the runs cover every packed byte
         for (const auto& run : filespace.runs())
             f.io.pread(packed.data() + run.packed_off * elem, run.len * elem,
                        d->file_data_offset + run.file_off * elem);
     }
     unpack_selection(memspace, packed.data(), elem, buf);
+    give_piece_bytes(std::move(packed));
 }
 
 void NativeVol::dataset_set_extent(void* dset, const Extent& new_dims) {

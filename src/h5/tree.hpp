@@ -1,6 +1,7 @@
 #pragma once
 
 #include "dataspace.hpp"
+#include "pool.hpp"
 #include "types.hpp"
 
 #include <memory>
@@ -30,6 +31,13 @@ struct DataPiece {
 
     std::vector<std::byte> owned; ///< packed in filespace iteration order (Deep)
     const void*            ref = nullptr; ///< user buffer (Shallow)
+
+    DataPiece()            = default;
+    DataPiece(DataPiece&&) = default; // copies and assignments: implicitly deleted
+    /// The last owner of a piece hands its Deep buffer to the piece pool:
+    /// a tree shared with an MVCC snapshot or an aliased serve payload
+    /// dies only once all of them have let go.
+    ~DataPiece() { give_piece_bytes(std::move(owned)); }
 
     /// The piece's full payload as a stable packed buffer (filespace
     /// iteration order), when one exists: Deep pieces own such a copy,

@@ -1,6 +1,7 @@
 #pragma once
 
 #include "dataspace.hpp"
+#include "pool.hpp"
 #include "types.hpp"
 
 #include <memory>
@@ -19,7 +20,10 @@ namespace h5 {
 /// group/dataset handle is only valid while its file handle is open.
 class Vol {
 public:
-    virtual ~Vol() = default;
+    Vol() { count_vol(+1); }
+    Vol(const Vol&)            = delete;
+    Vol& operator=(const Vol&) = delete;
+    virtual ~Vol() { count_vol(-1); } // the last one drains the piece pool
 
     // --- files -----------------------------------------------------------
     virtual void* file_create(const std::string& name) = 0;

@@ -193,7 +193,7 @@ void lz4_decompress(const std::byte* src, std::size_t n, std::byte* dst, std::si
         const std::size_t lit = read_len(token >> 4);
         if (ip + lit > n) throw CodecError("lz4: literal run past input");
         if (op + lit > raw_n) throw CodecError("lz4: literal run past output");
-        std::memcpy(dst + op, src + ip, lit);
+        if (lit) std::memcpy(dst + op, src + ip, lit); // dst may be null when raw_n == 0
         ip += lit;
         op += lit;
 
@@ -475,7 +475,7 @@ void decompress_frame(const std::byte* frame, std::size_t frame_size, std::byte*
 
     switch (h.method) {
         case Method::raw:
-            std::memcpy(dst, payload, h.raw_size);
+            if (h.raw_size) std::memcpy(dst, payload, h.raw_size); // empty: dst may be null
             return;
         case Method::lz4:
             lz4_decompress(payload, h.payload_size, dst, h.raw_size);

@@ -301,8 +301,9 @@ void DistMetadataVol::file_close(void* file) {
 }
 
 void DistMetadataVol::drop_file(const std::string& name) {
-    auto* sched = local_.scheduler();
-    Guard lock(sched, mutex_, "drop_file");
+    std::shared_ptr<Object> tree; // freed (into the h5 piece pool) after unlock
+    auto*                   sched = local_.scheduler();
+    Guard                   lock(sched, mutex_, "drop_file");
     // never drop a file the background server may still be serving
     // (conservative: waits for every outstanding round; a dead server
     // cannot serve anything, so its error also ends the wait)
@@ -319,6 +320,7 @@ void DistMetadataVol::drop_file(const std::string& name) {
     for (auto it = round_pins_.begin(); it != round_pins_.end();)
         it = std::get<2>(it->first) == name ? round_pins_.erase(it) : std::next(it);
     snapshots_.retire(name);
+    if (auto it = files_.find(name); it != files_.end()) tree = std::move(it->second.root);
     // the consumer-side intersect cache survives: its entries are valid
     // for exactly one publish version, so a later rewrite can never
     // serve stale sets

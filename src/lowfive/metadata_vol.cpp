@@ -199,7 +199,7 @@ void MetadataVol::dataset_write(void* dset, const Dataspace& memspace, const Dat
             piece.ref       = buf;
         } else {
             piece.ownership = h5::Ownership::Deep;
-            piece.owned.resize(filespace.npoints() * h->node->type.size());
+            piece.owned = h5::take_piece_bytes(filespace.npoints() * h->node->type.size());
             pack_selection(memspace, buf, h->node->type.size(), piece.owned.data());
         }
         h->node->pieces.push_back(std::move(piece));

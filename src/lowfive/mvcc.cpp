@@ -91,6 +91,8 @@ void SnapshotPin::release() {
 // --- SnapshotStore ---------------------------------------------------------------
 
 SnapshotStore::SnapshotStore(Metrics m) : state_(std::make_shared<StoreState>()) {
+    l5race::forbid_edge("mvcc.leaf", "h5.pool",
+                        "a snapshot tree freed under the mvcc leaf mutex");
     state_->metrics = m;
     state_->root.store(std::make_shared<const Root>(), std::memory_order_release);
 }
@@ -99,7 +101,11 @@ SnapshotStore::~SnapshotStore() = default;
 
 SnapshotPin SnapshotStore::publish(const std::string& name, std::shared_ptr<h5::Object> root,
                                    IndexMap index, std::uint64_t publish_ns) {
-    std::lock_guard<std::mutex> lk(state_->mutex);
+    // the superseded root and snapshot drop after unlock: a freed tree
+    // hands its buffers to the h5 piece pool (another lock)
+    std::shared_ptr<const Root>     old_root;
+    std::shared_ptr<const Snapshot> old;
+    std::lock_guard<std::mutex>     lk(state_->mutex);
     l5race::LockHold rh(&state_->mutex, "mvcc/publish", "mvcc.leaf");
 
     auto snap         = std::shared_ptr<Snapshot>(new Snapshot());
@@ -112,9 +118,8 @@ SnapshotPin SnapshotStore::publish(const std::string& name, std::shared_ptr<h5::
     snap->state_      = state_;
 
     l5race::atomic_consume(&state_->root);
-    auto old_root = state_->root.load(std::memory_order_acquire);
+    old_root      = state_->root.load(std::memory_order_acquire);
     auto new_root = std::make_shared<Root>(*old_root);
-    std::shared_ptr<const Snapshot> old;
     if (auto it = new_root->current.find(name); it != new_root->current.end()) old = it->second;
     new_root->current[name] = snap;
 
@@ -140,13 +145,16 @@ SnapshotPin SnapshotStore::publish(const std::string& name, std::shared_ptr<h5::
 }
 
 void SnapshotStore::retire(const std::string& name, bool forget_versions) {
-    std::lock_guard<std::mutex> lk(state_->mutex);
+    // dropped after unlock, as in publish
+    std::shared_ptr<const Root>     old_root;
+    std::shared_ptr<const Snapshot> current;
+    std::lock_guard<std::mutex>     lk(state_->mutex);
     l5race::LockHold rh(&state_->mutex, "mvcc/retire", "mvcc.leaf");
     l5race::atomic_consume(&state_->root);
-    auto old_root = state_->root.load(std::memory_order_acquire);
+    old_root = state_->root.load(std::memory_order_acquire);
     if (auto it = old_root->current.find(name); it != old_root->current.end()) {
         auto new_root = std::make_shared<Root>(*old_root);
-        auto current  = it->second;
+        current       = it->second;
         new_root->current.erase(name);
         l5race::atomic_publish(&state_->root);
         state_->root.store(std::move(new_root), std::memory_order_release);

@@ -5,6 +5,7 @@
 
 #include <lowfive/codec.hpp>
 #include <lowfive/lowfive.hpp>
+#include <obs/metrics.hpp>
 #include <workflow/workflow.hpp>
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include <cstdint>
 #include <cstring>
 #include <random>
+#include <stdexcept>
 #include <vector>
 
 using namespace lowfive::codec;
@@ -648,6 +650,86 @@ TEST(ZeroCopyServe, RewriteRacingAliasedPartialReadsSeesOpenedVersion) {
              }},
         },
         {workflow::Link{0, 1, "*"}}, opts);
+}
+
+TEST(ZeroCopyServe, PooledBufferNotReusedWhileAliasedPayloadHeld) {
+    // an enc-2 payload is an owning alias of the snapshot its piece lives
+    // in. The consumer keeps one from version 1 while the producer drops
+    // the file and writes version 2 of the same size: version 1's buffer
+    // cannot return to the piece pool while the alias lives, so version
+    // 2 gets fresh pages and the held bytes never change. Once the alias
+    // drops, the buffer is pooled and version 3's write reuses it.
+    constexpr std::uint64_t n    = std::uint64_t(2) << 17; // 2 MiB of u64
+    constexpr int           tag  = 77;
+    const std::string       name = "zc_pool.h5";
+    auto value = [](std::uint64_t version, std::uint64_t i) { return version * 1'000'003 + i; };
+    auto hits  = [] { return obs::Registry::global().counter("pool.hits").value(); };
+    auto misses = [] { return obs::Registry::global().counter("pool.misses").value(); };
+    workflow::run(
+        {
+            {"producer", 1,
+             [&](workflow::Context& ctx) {
+                 auto write = [&](std::uint64_t version) {
+                     h5::File f = h5::File::create(name, ctx.vol);
+                     auto d = f.create_dataset("v", h5::dt::uint64(), h5::Dataspace({n}));
+                     std::vector<std::uint64_t> vals(n);
+                     for (std::uint64_t i = 0; i < n; ++i) vals[i] = value(version, i);
+                     d.write(vals.data(), h5::Dataspace({n}));
+                     f.close();
+                 };
+                 write(1);
+                 EXPECT_GT(ctx.vol->stats().n_zero_copy_pieces, 0u);
+                 {
+                     // the serve path's alias: the piece's packed buffer,
+                     // owned through the snapshot (DistMetadataVol's
+                     // handle_read_request builds exactly this)
+                     auto pin = ctx.vol->snapshot_store().pin(name);
+                     if (!pin) throw std::runtime_error("version 1 is not published");
+                     const auto& piece = pin->root()->resolve("v")->pieces.at(0);
+                     ctx.world.send_shared(1, tag,
+                                           simmpi::SharedPayload(pin.shared(), piece.packed_bytes()));
+                 }
+                 ctx.vol->drop_file(name); // the alias is now the only owner
+                 const auto m = misses();
+                 write(2);
+                 EXPECT_GE(misses(), m + 1) << "version 2 must not reuse the aliased buffer";
+                 ctx.world.barrier(); // the consumer dropped its alias
+                 ctx.vol->drop_file(name);
+                 const auto h = hits();
+                 write(3);
+                 EXPECT_GE(hits(), h + 1) << "a buffer goes back to the pool after its last alias";
+             }},
+            {"consumer", 1,
+             [&](workflow::Context& ctx) {
+                 auto read = [&](std::uint64_t version) {
+                     h5::File f    = h5::File::open(name, ctx.vol);
+                     auto     vals = f.open_dataset("v").read_vector<std::uint64_t>();
+                     f.close();
+                     ASSERT_EQ(vals.size(), n);
+                     for (std::uint64_t i = 0; i < n; ++i)
+                         ASSERT_EQ(vals[i], value(version, i)) << "version " << version;
+                 };
+                 read(1);
+                 simmpi::SharedPayload held;
+                 ctx.world.recv_shared(0, tag, held);
+                 // failures below must not skip the barrier the producer waits on
+                 auto check_held = [&] {
+                     ASSERT_TRUE(held);
+                     ASSERT_EQ(held->size(), n * sizeof(std::uint64_t));
+                     std::vector<std::uint64_t> got(n);
+                     std::memcpy(got.data(), held->data(), held->size());
+                     for (std::uint64_t i = 0; i < n; ++i)
+                         ASSERT_EQ(got[i], value(1, i)) << "held alias changed at " << i;
+                 };
+                 check_held();
+                 read(2);
+                 check_held();
+                 held.reset();
+                 ctx.world.barrier();
+                 read(3);
+             }},
+        },
+        {workflow::Link{0, 1, "*"}});
 }
 
 TEST(CodecEndToEnd, UncompressedWhenNotAdvertised) {
