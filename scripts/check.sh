@@ -101,6 +101,16 @@ L5_DATA_THREADS=3 L5_PAR_THRESHOLD=1024 \
 ./build/tools/mh5sched --seeds 1:5 --policy pct --depth 3 --timeout 120 --jobs "$jobs" --check --race \
     -- ./build/tests/test_pool --gtest_brief=1 --gtest_filter='BytePool.*'
 
+# serve-loop and query-plane sweep: the one serve loop (inline and on
+# the serve thread) and the windowed query plane (unbounded and window 1)
+# (50 + 50 seeds of each run in CI)
+for t in test_query_pipeline test_async_serve; do
+    ./build/tools/mh5sched --seeds 1:5 --timeout 120 --jobs "$jobs" --check --race \
+        -- "./build/tests/$t" --gtest_brief=1
+    ./build/tools/mh5sched --seeds 1:5 --policy pct --depth 3 --timeout 120 --jobs "$jobs" --check --race \
+        -- "./build/tests/$t" --gtest_brief=1
+done
+
 if [[ $tsan -eq 1 ]]; then
     echo "== ThreadSanitizer tree (build-tsan) =="
     cmake -B build-tsan -S . -DLOWFIVE_SANITIZE=thread >/dev/null

@@ -37,6 +37,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
@@ -148,27 +149,34 @@ inline void forbid_edge(const char* holder_class, const char* acquired_class, co
     if (armed()) detail::forbid_edge_impl(holder_class, acquired_class, why);
 }
 
-/// RAII lockset bookkeeping for a mutex scoped by std::lock_guard /
-/// std::unique_lock at the call site (e.g. Mailbox's):
+/// A held mutex, announced to l5race by the same object: the constructor
+/// locks and then reports the acquisition; the destructor reports the
+/// release and then unlocks. Every local declared after it is destroyed
+/// inside both the real hold and lockdep's view of it, and nothing can be
+/// declared between the two. `lock()` hands condition-variable waits the
+/// underlying std::unique_lock.
 ///
-///   std::lock_guard<std::mutex> lock(mutex_);
-///   l5race::LockHold rh(&mutex_, "Mailbox::push");
-class LockHold {
+///   l5race::AnnouncedLock lock(mutex_, "Mailbox::push", "mailbox.mutex");
+template <class Mutex>
+class AnnouncedLock {
 public:
-    LockHold(const void* m, const char* site, const char* lock_class = nullptr) {
+    AnnouncedLock(Mutex& m, const char* site, const char* lock_class = nullptr) : lk_(m) {
         if (armed()) {
-            m_ = m;
-            detail::lock_acquired_impl(m, site, lock_class, false);
+            detail::lock_acquired_impl(&m, site, lock_class, false);
+            m_ = &m;
         }
     }
-    ~LockHold() {
+    ~AnnouncedLock() {
         if (m_) lock_released(m_);
     }
-    LockHold(const LockHold&)            = delete;
-    LockHold& operator=(const LockHold&) = delete;
+    AnnouncedLock(const AnnouncedLock&)            = delete;
+    AnnouncedLock& operator=(const AnnouncedLock&) = delete;
+
+    std::unique_lock<Mutex>& lock() { return lk_; }
 
 private:
-    const void* m_ = nullptr;
+    std::unique_lock<Mutex> lk_;
+    const void*             m_ = nullptr;
 };
 
 // --- shared-cell access hooks -----------------------------------------------

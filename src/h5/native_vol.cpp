@@ -123,7 +123,6 @@ void NativeVol::write_created_file(OpenFile& f) {
     visit(visit, *f.root);
 
     io.close();
-    if (collective()) comm_.barrier(); // file complete only when all ranks wrote
 }
 
 void NativeVol::file_flush(void* file) {
@@ -131,14 +130,21 @@ void NativeVol::file_flush(void* file) {
     if (it == files_.end()) throw Error("h5: file_flush on unknown handle");
     // created files: persist the current state, keep staging writable;
     // opened (read) files have nothing to flush
-    if (it->second->writable) write_created_file(*it->second);
+    if (!it->second->writable) return;
+    write_created_file(*it->second);
+    if (collective()) comm_.barrier(); // file complete only when all ranks wrote
 }
 
 void NativeVol::file_close(void* file) {
     auto it = files_.find(node(file));
     if (it == files_.end()) throw Error("h5: file_close on unknown handle");
-    if (it->second->writable) write_created_file(*it->second);
+    const bool written = it->second->writable;
+    if (written) write_created_file(*it->second);
+    // free the staging tree before the barrier, so no rank still holds its
+    // pieces once any rank (and the file-ready notice that may follow) is
+    // past it; a close that fails in the barrier leaves no stale handle
     files_.erase(it);
+    if (written && collective()) comm_.barrier(); // file complete only when all ranks wrote
 }
 
 void* NativeVol::group_create(void* parent, const std::string& name) {

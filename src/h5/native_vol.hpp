@@ -82,6 +82,8 @@ private:
     /// offset of the metadata blob (end of payload region).
     static std::uint64_t assign_layout(Object& root);
 
+    /// Persist a created file (collective, up to the last write; the
+    /// caller runs the closing barrier).
     void write_created_file(OpenFile& f);
 
     simmpi::Comm                                         comm_;

@@ -46,10 +46,9 @@ struct Locked {
         static Pool* p = new Pool; // never destroyed: trees may die during static teardown
         return *p;
     }
-    Pool&                       p = pool();
-    std::lock_guard<std::mutex> lk{p.mutex};
-    l5race::LockHold            rh;
-    explicit Locked(const char* site) : rh(&p.mutex, site, "h5.pool") {
+    Pool&                             p = pool();
+    l5race::AnnouncedLock<std::mutex> lk;
+    explicit Locked(const char* site) : lk(p.mutex, site, "h5.pool") {
         L5_SHARED_WRITE(&p, "held", site);
     }
 };

@@ -16,6 +16,7 @@
 #include <optional>
 #include <set>
 #include <thread>
+#include <utility>
 
 namespace lowfive {
 
@@ -70,6 +71,55 @@ diy::BinaryBuffer recv_buffer(const simmpi::Comm& ic, int src, int tag, int* fro
     auto                   st = ic.recv(src, tag, raw);
     if (from) *from = st.source;
     return diy::BinaryBuffer(std::move(raw));
+}
+
+/// Send one shared payload to every peer of `ic` (Done, StepRelease,
+/// StreamDone and the file-ready notification).
+void fan_out(const simmpi::Comm& ic, int tag, std::vector<std::byte> bytes) {
+    auto payload = simmpi::make_shared_payload(std::move(bytes));
+    for (int p = 0; p < ic.peer_size(); ++p) ic.send_shared(p, tag, payload);
+}
+
+/// One request kind's in-flight window on the query plane (Algorithm 3).
+/// The request is encoded once; each queued target gets it as soon as
+/// fewer than `window` are out, and every reply must carry the read's
+/// request id and come from a target with a request out.
+struct Flight {
+    const simmpi::Comm&    ic;
+    int                    reply_tag;
+    std::size_t            window;
+    std::vector<std::byte> request;
+    obs::Counter&          sent;
+    std::deque<int>        queued;
+    std::set<int>          inflight;
+
+    void pump() {
+        for (; !queued.empty() && inflight.size() < window; queued.pop_front()) {
+            ic.send(queued.front(), rpc_request, request.data(), request.size());
+            inflight.insert(queued.front());
+            sent.inc();
+        }
+    }
+
+    /// The next reply in arrival order; its slot goes to the next target.
+    diy::BinaryBuffer next(std::uint64_t id, int& from) {
+        auto reply = recv_buffer(ic, simmpi::any_source, reply_tag, &from);
+        if (reply.load<std::uint64_t>() != id || inflight.erase(from) == 0)
+            throw Error("lowfive: query reply with unexpected id or source");
+        pump();
+        return reply;
+    }
+};
+
+/// A StepRelease request: drop one pin of `step` (a pin rollback when
+/// `rollback`, else a drain).
+std::vector<std::byte> step_release(const std::string& name, stream::StepId step, bool rollback) {
+    diy::BinaryBuffer bb;
+    bb.save(static_cast<std::uint8_t>(Op::StepRelease));
+    bb.save(name);
+    bb.save<std::uint64_t>(step.value());
+    bb.save<std::uint8_t>(rollback ? 1 : 0);
+    return std::move(bb).take();
 }
 
 /// Collect (path, dataset node) pairs in deterministic DFS order.
@@ -163,40 +213,7 @@ void DistMetadataVol::background_loop() {
     // malformed request — must not escape the thread (std::terminate) or
     // strand waiters on dones_cv_: record it and wake everyone instead
     try {
-        std::vector<const simmpi::Comm*> comms;
-        comms.reserve(serve_conns_.size() + 1);
-        for (const auto& c : serve_conns_) comms.push_back(&c.ic);
-        comms.push_back(&local_); // self-send on tag rpc_request = shutdown
-
-        for (;;) {
-            std::size_t which = 0;
-            auto st = simmpi::Comm::probe_any(comms, simmpi::any_source, rpc_request, &which);
-            if (which + 1 == comms.size()) {
-                std::vector<std::byte> raw;
-                local_.recv(st.source, rpc_request, raw);
-                if (raw.empty()) return; // shutdown signal
-                // deferred-retry nudge: a producer-thread publish parked
-                // work for us; replay it here so request handling (and
-                // its replies) stays single-threaded
-                std::vector<Deferred> pending;
-                {
-                    Guard lock(local_.scheduler(), mutex_, "serve/deferred");
-                    L5_SHARED_WRITE(this, "deferred_", "serve/deferred");
-                    pending = std::move(deferred_);
-                    deferred_.clear();
-                }
-                for (auto& d : pending)
-                    handle_request(serve_conns_[d.conn], d.src, std::move(d.payload));
-                notify_dones();
-                continue;
-            }
-            auto& conn = serve_conns_[which];
-            auto  bb   = recv_buffer(conn.ic, st.source, rpc_request);
-            // no lock here: handle_request pins a snapshot for the query
-            // ops and takes the Guard itself only for control ops
-            handle_request(conn, st.source, std::move(bb).take());
-            notify_dones();
-        }
+        serve_loop(true);
     } catch (...) {
         {
             Guard lock(local_.scheduler(), mutex_, "serve/record_error");
@@ -207,7 +224,55 @@ void DistMetadataVol::background_loop() {
     }
 }
 
-void DistMetadataVol::check_pin_leaks() {
+void DistMetadataVol::finish_serving() {
+    auto*              sched = local_.scheduler();
+    std::exception_ptr err;
+    if (serve_thread_.joinable()) {
+        try {
+            Guard lock(sched, mutex_, "finish_serving");
+            wait_rounds_locked(lock, "finish_serving/dones");
+        } catch (...) {
+            // deadline / deadlock / abort surfaced at the wait itself, or
+            // the serve thread's recorded error: the thread must still be
+            // woken and joined below, or the std::thread member is
+            // destroyed joinable (std::terminate)
+            err = std::current_exception();
+        }
+        bool serve_died;
+        {
+            Guard lock(sched, mutex_, "finish_serving/check_error");
+            L5_SHARED_READ(this, "serve_error_", "finish_serving/check_error");
+            serve_died = serve_error_ != nullptr;
+        }
+        if (!serve_died) {
+            try {
+                local_.send(local_.rank(), rpc_request, nullptr, 0); // shutdown signal
+            } catch (...) {
+                // the send can only fail when the world was aborted under
+                // us; the same poison has already woken the serve thread
+                if (!err) err = std::current_exception();
+            }
+        }
+        // under a deterministic scheduler the joiner steps away so the
+        // serve thread can be scheduled to process the shutdown and exit
+        simmpi::detail::coop_join(sched, serve_thread_);
+    }
+    if (err) {
+        {
+            Guard lock(sched, mutex_, "finish_serving/clear_error");
+            L5_SHARED_WRITE(this, "serve_error_", "finish_serving/clear_error");
+            serve_error_ = nullptr; // surfaced once
+        }
+        std::rethrow_exception(err);
+    }
+    {
+        // every round completed (served inline inside close, or the dones
+        // wait above): no in-flight reader is left, so the trailing round
+        // pins (kept for possible reopens of the last version) can go
+        Guard lock(sched, mutex_, "finish_serving/clear_pins");
+        L5_SHARED_WRITE(this, "round_pins_", "finish_serving/clear_pins");
+        round_pins_.clear();
+    }
     // finalize lint: every snapshot pin taken during the run (round pins,
     // step pins, reader pins) must have been released by now — a leak
     // keeps superseded versions and their data alive forever
@@ -218,70 +283,15 @@ void DistMetadataVol::check_pin_leaks() {
                                 "(round or step pins never released)");
 }
 
-void DistMetadataVol::finish_serving() {
-    if (!serve_thread_.joinable()) {
-        // sync mode: every round was served to completion inside close,
-        // so the trailing round pins (kept for possible reopens of the
-        // last version) can go now
-        {
-            Guard lock(local_.scheduler(), mutex_, "finish_serving/clear_pins");
-            L5_SHARED_WRITE(this, "round_pins_", "finish_serving/clear_pins");
-            round_pins_.clear();
-        }
-        check_pin_leaks();
-        return;
-    }
-    auto*              sched = local_.scheduler();
-    std::exception_ptr err;
-    try {
-        Guard lock(sched, mutex_, "finish_serving");
-        simmpi::detail::coop_wait(sched, dones_cv_, lock, "finish_serving/dones", [&] {
-            L5_SHARED_READ(this, "dones_", "finish_serving/dones");
-            L5_SHARED_READ(this, "streams_", "finish_serving/dones");
-            return rounds_done_locked();
-        });
-        L5_SHARED_READ(this, "serve_error_", "finish_serving/dones");
-        err = serve_error_;
-    } catch (...) {
-        // deadline / deadlock / abort surfaced at the wait itself: the
-        // serve thread must still be woken and joined below, or the
-        // std::thread member is destroyed joinable (std::terminate)
-        err = std::current_exception();
-    }
-    bool serve_died;
-    {
-        Guard lock(sched, mutex_, "finish_serving/check_error");
-        L5_SHARED_READ(this, "serve_error_", "finish_serving/check_error");
-        serve_died = serve_error_ != nullptr;
-    }
-    if (!serve_died) {
-        try {
-            local_.send(local_.rank(), rpc_request, nullptr, 0); // shutdown signal
-        } catch (...) {
-            // the send can only fail when the world was aborted under us;
-            // the same poison has already woken the serve thread
-            if (!err) err = std::current_exception();
-        }
-    }
-    // under a deterministic scheduler the joiner steps away so the serve
-    // thread can be scheduled to process the shutdown and exit
-    simmpi::detail::coop_join(sched, serve_thread_);
-    if (err) {
-        {
-            Guard lock(sched, mutex_, "finish_serving/clear_error");
-            L5_SHARED_WRITE(this, "serve_error_", "finish_serving/clear_error");
-            serve_error_ = nullptr; // surfaced once
-        }
-        std::rethrow_exception(err);
-    }
-    {
-        // every round completed (the dones wait above): no in-flight
-        // reader is left, so the trailing round pins can go
-        Guard lock(sched, mutex_, "finish_serving/clear_pins");
-        L5_SHARED_WRITE(this, "round_pins_", "finish_serving/clear_pins");
-        round_pins_.clear();
-    }
-    check_pin_leaks();
+void DistMetadataVol::wait_rounds_locked(simmpi::detail::CoopLock<std::recursive_mutex>& lock,
+                                         const char* site) {
+    simmpi::detail::coop_wait(local_.scheduler(), dones_cv_, lock, site, [&] {
+        L5_SHARED_READ(this, "dones_", site);
+        L5_SHARED_READ(this, "streams_", site);
+        return rounds_done_locked();
+    });
+    L5_SHARED_READ(this, "serve_error_", site);
+    if (serve_error_) std::rethrow_exception(serve_error_);
 }
 
 void* DistMetadataVol::file_create(const std::string& name) {
@@ -399,52 +409,41 @@ void DistMetadataVol::index_file(FileEntry& entry) {
 // --- producer: serve (Algorithm 2) --------------------------------------------
 
 void DistMetadataVol::serve_all() {
-    auto* sched = local_.scheduler();
-    Guard lock(sched, mutex_, "serve_all");
-    if (serve_thread_.joinable()) {
-        // background mode: just wait for the server to drain the rounds
-        simmpi::detail::coop_wait(sched, dones_cv_, lock, "serve_all/dones", [&] {
-            L5_SHARED_READ(this, "dones_", "serve_all/dones");
-            L5_SHARED_READ(this, "streams_", "serve_all/dones");
-            return rounds_done_locked();
-        });
-        L5_SHARED_READ(this, "serve_error_", "serve_all/dones");
-        if (serve_error_) std::rethrow_exception(serve_error_);
-        return;
-    }
-    serve_until(dones_expected_);
+    Guard lock(local_.scheduler(), mutex_, "serve_all");
+    if (serve_thread_.joinable())
+        wait_rounds_locked(lock, "serve_all/dones"); // the thread drains the rounds
+    else
+        serve_loop(false);
 }
 
-void DistMetadataVol::serve_until(std::uint64_t target) {
+void DistMetadataVol::serve_loop(bool on_thread) {
     std::vector<const simmpi::Comm*> comms;
-    comms.reserve(serve_conns_.size());
+    comms.reserve(serve_conns_.size() + 1);
     for (const auto& c : serve_conns_) comms.push_back(&c.ic);
-
-    L5_SHARED_READ(this, "dones_", "serve_until");
-    while (dones_received_ < target) {
-        // block (no spinning) until a request arrives on any connection
-        std::size_t which = 0;
-        auto st = simmpi::Comm::probe_any(comms, simmpi::any_source, rpc_request, &which);
-        auto& conn = serve_conns_[which];
-        auto  bb   = recv_buffer(conn.ic, st.source, rpc_request);
-        handle_request(conn, st.source, std::move(bb).take());
-    }
-}
-
-bool DistMetadataVol::poll_requests() {
-    for (std::size_t c = 0; c < serve_conns_.size(); ++c) {
-        auto& conn = serve_conns_[c];
-        if (conn.ic.iprobe(simmpi::any_source, rpc_request)) {
-            int  src = -1;
-            auto bb  = recv_buffer(conn.ic, simmpi::any_source, rpc_request, &src);
-            handle_request(conn, src, std::move(bb).take());
-            return true;
+    // only the thread listens on local_: an inline loop can never take
+    // its deferred-retry nudge or its shutdown signal
+    if (on_thread) comms.push_back(&local_);
+    for (;;) {
+        if (!on_thread) {
+            L5_SHARED_READ(this, "dones_", "serve_loop");
+            if (dones_received_ >= dones_expected_) return;
         }
+        // block (no spinning) until a request arrives on any connection
+        std::size_t            which = 0;
+        auto st = simmpi::Comm::probe_any(comms, simmpi::any_source, rpc_request, &which);
+        std::vector<std::byte> raw;
+        comms[which]->recv(st.source, rpc_request, raw);
+        if (which < serve_conns_.size())
+            handle_request(which, st.source, std::move(raw));
+        else if (raw.empty())
+            return; // shutdown signal
+        else
+            retry_deferred(); // a publish on the producer thread parked work for us
+        if (on_thread) notify_dones();
     }
-    return false;
 }
 
-void DistMetadataVol::handle_request(Conn& conn, int src, std::vector<std::byte>&& payload) {
+void DistMetadataVol::handle_request(std::size_t ci, int src, std::vector<std::byte>&& payload) {
     obs::ScopedTimerNs timer(c_t_serve_ns_);
     diy::BinaryBuffer bb{std::move(payload)};
     const auto        op = bb.load<std::uint8_t>();
@@ -455,19 +454,20 @@ void DistMetadataVol::handle_request(Conn& conn, int src, std::vector<std::byte>
         // query hot path: answered from a pinned MVCC snapshot, no
         // serve-mutex acquisition (the serve-lock-after-pin lint enforces
         // this under L5_CHECK)
-        handle_read_request(conn, src, std::move(bb), op);
+        handle_read_request(ci, src, std::move(bb), op);
         break;
     default:
         // control path: mutates publish/teardown state under mutex_
         // (recursive, so the synchronous serve paths that already hold it
         // re-enter freely)
-        handle_control_request(conn, src, std::move(bb), op);
+        handle_control_request(ci, src, std::move(bb), op);
         break;
     }
 }
 
-void DistMetadataVol::handle_read_request(Conn& conn, int src, diy::BinaryBuffer&& bb,
+void DistMetadataVol::handle_read_request(std::size_t ci, int src, diy::BinaryBuffer&& bb,
                                           std::uint8_t op) {
+    const auto& ic     = serve_conns_[ci].ic;
     const auto  req_id = bb.load<std::uint64_t>();
     std::string name, dset;
     bb.load(name);
@@ -501,10 +501,7 @@ void DistMetadataVol::handle_read_request(Conn& conn, int src, diy::BinaryBuffer
                 cur = snapshots_.pin(name);
                 if (!cur || cur->version() < version) {
                     cur.release();
-                    const std::size_t conn_idx =
-                        static_cast<std::size_t>(&conn - serve_conns_.data());
-                    L5_SHARED_WRITE(this, "deferred_", "serve/defer-read");
-                    deferred_.push_back({conn_idx, src, std::move(bb).take()});
+                    park_locked(ci, src, std::move(bb), "serve/defer-read");
                     return;
                 }
                 snap = std::move(cur); // version GC'd past: current is consistent
@@ -533,7 +530,7 @@ void DistMetadataVol::handle_read_request(Conn& conn, int src, diy::BinaryBuffer
         diy::BinaryBuffer reply;
         reply.save(req_id);
         reply.save(ranks);
-        send_buffer(conn.ic, src, rpc_reply, std::move(reply));
+        send_buffer(ic, src, rpc_reply, std::move(reply));
         return;
     }
 
@@ -636,15 +633,16 @@ void DistMetadataVol::handle_read_request(Conn& conn, int src, diy::BinaryBuffer
         // the modelled interconnect charges post-codec bytes: compression
         // buys wall-clock exactly when the wire is the bottleneck
         codec::WireModel::instance().charge(wire);
-        send_buffer(conn.ic, src, rpc_data_reply, std::move(reply));
+        send_buffer(ic, src, rpc_data_reply, std::move(reply));
         // zero-copy payloads follow the header in piece order
-        for (auto& p : zc) conn.ic.send_shared(src, rpc_data_reply, std::move(p));
+        for (auto& p : zc) ic.send_shared(src, rpc_data_reply, std::move(p));
     }
 }
 
-void DistMetadataVol::handle_control_request(Conn& conn, int src, diy::BinaryBuffer&& bb,
+void DistMetadataVol::handle_control_request(std::size_t ci, int src, diy::BinaryBuffer&& bb,
                                              std::uint8_t op) {
-    Guard lock(local_.scheduler(), mutex_, "serve/control");
+    const auto& ic = serve_conns_[ci].ic;
+    Guard       lock(local_.scheduler(), mutex_, "serve/control");
 
     switch (static_cast<Op>(op)) {
     case Op::IntersectQuery:
@@ -665,9 +663,8 @@ void DistMetadataVol::handle_control_request(Conn& conn, int src, diy::BinaryBuf
         // version itself may be reopened by the very next round (a
         // consumer outpacing the producer), so its pin stays until a
         // later Done names a newer version (or teardown clears it).
-        const std::size_t conn_idx = static_cast<std::size_t>(&conn - serve_conns_.data());
         L5_SHARED_WRITE(this, "round_pins_", "serve/done");
-        if (auto rit = round_pins_.find({conn_idx, src, name}); rit != round_pins_.end()) {
+        if (auto rit = round_pins_.find({ci, src, name}); rit != round_pins_.end()) {
             auto& pins = rit->second;
             pins.erase(std::remove_if(pins.begin(), pins.end(),
                                       [&](const mvcc::SnapshotPin& p) {
@@ -687,13 +684,7 @@ void DistMetadataVol::handle_control_request(Conn& conn, int src, diy::BinaryBuf
         auto snap = snapshots_.pin(name);
         if (it == files_.end() || !it->second.root || it->second.writable || !snap) {
             // consumer ran ahead of the producer: retry after next close
-            diy::BinaryBuffer orig;
-            orig.save(static_cast<std::uint8_t>(Op::MetadataQuery));
-            orig.save(name);
-            std::size_t conn_idx =
-                static_cast<std::size_t>(&conn - serve_conns_.data());
-            L5_SHARED_WRITE(this, "deferred_", "serve/metadata");
-            deferred_.push_back({conn_idx, src, std::move(orig).take()});
+            park_locked(ci, src, std::move(bb), "serve/metadata");
             break;
         }
         // reply from the snapshot so version and skeleton are one
@@ -701,7 +692,7 @@ void DistMetadataVol::handle_control_request(Conn& conn, int src, diy::BinaryBuf
         diy::BinaryBuffer reply;
         reply.save(snap->version());
         snap->root()->save_skeleton(reply);
-        send_buffer(conn.ic, src, rpc_reply, std::move(reply));
+        send_buffer(ic, src, rpc_reply, std::move(reply));
         break;
     }
     case Op::StepNext: {
@@ -718,14 +709,7 @@ void DistMetadataVol::handle_control_request(Conn& conn, int src, diy::BinaryBuf
             // nothing published past `min` yet and the stream is still
             // open (or not registered yet): park the request; replayed
             // after the next publish / stream begin / stream end
-            diy::BinaryBuffer orig;
-            orig.save(static_cast<std::uint8_t>(Op::StepNext));
-            orig.save(base);
-            orig.save(min_raw);
-            orig.save(latest);
-            std::size_t conn_idx = static_cast<std::size_t>(&conn - serve_conns_.data());
-            L5_SHARED_WRITE(this, "deferred_", "serve/step_next");
-            deferred_.push_back({conn_idx, src, std::move(orig).take()});
+            park_locked(ci, src, std::move(bb), "serve/step_next");
             break;
         }
         if (r.status == stream::StepWindow::Acquire::Status::granted) {
@@ -741,7 +725,7 @@ void DistMetadataVol::handle_control_request(Conn& conn, int src, diy::BinaryBuf
         diy::BinaryBuffer reply;
         reply.save<std::uint8_t>(r.status == stream::StepWindow::Acquire::Status::eos ? 1 : 0);
         reply.save<std::uint64_t>(r.step.valid() ? r.step.value() : 0);
-        send_buffer(conn.ic, src, rpc_reply, std::move(reply));
+        send_buffer(ic, src, rpc_reply, std::move(reply));
         break;
     }
     case Op::StepPin: {
@@ -760,7 +744,7 @@ void DistMetadataVol::handle_control_request(Conn& conn, int src, diy::BinaryBuf
         // 2 = gone: this rank's window raced ahead and already evicted
         // the step — the consumer rolls its pins back and retries higher
         reply.save<std::uint8_t>(ok ? 0 : 2);
-        send_buffer(conn.ic, src, rpc_reply, std::move(reply));
+        send_buffer(ic, src, rpc_reply, std::move(reply));
         break;
     }
     case Op::StepRelease: {
@@ -807,15 +791,27 @@ void DistMetadataVol::handle_control_request(Conn& conn, int src, diy::BinaryBuf
         stream_room_locked(base, sit->second);
         break;
     }
+    default:
+        // a dropped Done would stall the round: fail loudly instead
+        throw Error("lowfive: unknown request op " + std::to_string(op));
     }
 }
 
+void DistMetadataVol::park_locked(std::size_t ci, int src, diy::BinaryBuffer&& bb,
+                                  const char* site) {
+    L5_SHARED_WRITE(this, "deferred_", site);
+    deferred_.push_back({ci, src, std::move(bb).take()}); // the request as it arrived
+}
+
 void DistMetadataVol::retry_deferred() {
-    L5_SHARED_WRITE(this, "deferred_", "retry_deferred");
-    auto pending = std::move(deferred_);
-    deferred_.clear();
-    for (auto& d : pending)
-        handle_request(serve_conns_[d.conn], d.src, std::move(d.payload));
+    std::vector<Deferred> pending;
+    {
+        Guard lock(local_.scheduler(), mutex_, "serve/deferred");
+        L5_SHARED_WRITE(this, "deferred_", "serve/deferred");
+        pending = std::exchange(deferred_, {});
+    }
+    // handled outside this guard (an inline caller may still hold mutex_)
+    for (auto& d : pending) handle_request(d.conn, d.src, std::move(d.payload));
 }
 
 void DistMetadataVol::schedule_deferred_retry_locked() {
@@ -925,14 +921,6 @@ std::optional<stream::StepId> DistMetadataVol::stream_acquire(const std::string&
 
             // the coordinator's grant pinned rank 0; pin everywhere else
             const stream::StepId step(sv);
-            auto                 send_release = [&](int p, bool rollback) {
-                diy::BinaryBuffer rel;
-                rel.save(static_cast<std::uint8_t>(Op::StepRelease));
-                rel.save(name);
-                rel.save<std::uint64_t>(step.value());
-                rel.save<std::uint8_t>(rollback ? 1 : 0);
-                send_buffer(conn.ic, p, rpc_request, std::move(rel));
-            };
             int pinned_until = 1; // producer ranks [0, pinned_until) hold a pin
             for (int p = 1; p < npeers; ++p) {
                 diy::BinaryBuffer pin;
@@ -951,7 +939,9 @@ std::optional<stream::StepId> DistMetadataVol::stream_acquire(const std::string&
             // some rank already evicted the step: roll the pins back and
             // retry strictly past it (possible only under drop/latest)
             c_step_pin_rollbacks_.inc();
-            for (int p = 0; p < pinned_until; ++p) send_release(p, true);
+            const auto rel = step_release(name, step, /*rollback=*/true);
+            for (int p = 0; p < pinned_until; ++p)
+                conn.ic.send(p, rpc_request, rel.data(), rel.size());
             min = step.next();
         }
         if (raw != 0) {
@@ -974,15 +964,8 @@ void DistMetadataVol::stream_release(const std::string& name, stream::StepId ste
     // drops the pins that keep the step alive on the producers
     local_.barrier();
     if (local_.rank() == 0) {
-        auto&             conn = consume_conns_[static_cast<std::size_t>(ci)];
-        diy::BinaryBuffer bb;
-        bb.save(static_cast<std::uint8_t>(Op::StepRelease));
-        bb.save(name);
-        bb.save<std::uint64_t>(step.value());
-        bb.save<std::uint8_t>(0); // real release, not a pin rollback
-        auto payload = simmpi::make_shared_payload(std::move(bb).take());
-        for (int p = 0; p < conn.ic.peer_size(); ++p)
-            conn.ic.send_shared(p, rpc_request, payload);
+        fan_out(consume_conns_[static_cast<std::size_t>(ci)].ic, rpc_request,
+                step_release(name, step, /*rollback=*/false));
         local_.check_step("release", name, step.value());
     }
     // the step snapshot is gone for good: its cached producer sets die
@@ -995,13 +978,11 @@ void DistMetadataVol::stream_unsubscribe(const std::string& name) {
     if (ci < 0) throw Error("lowfive: no producer connection for stream '" + name + "'");
     local_.barrier(); // the whole task is done with the stream
     if (local_.rank() == 0) {
-        auto&             conn = consume_conns_[static_cast<std::size_t>(ci)];
         diy::BinaryBuffer bb;
         bb.save(static_cast<std::uint8_t>(Op::StreamDone));
         bb.save(name);
-        auto payload = simmpi::make_shared_payload(std::move(bb).take());
-        for (int p = 0; p < conn.ic.peer_size(); ++p)
-            conn.ic.send_shared(p, rpc_request, payload);
+        fan_out(consume_conns_[static_cast<std::size_t>(ci)].ic, rpc_request,
+                std::move(bb).take());
     }
 }
 
@@ -1125,14 +1106,12 @@ void DistMetadataVol::after_file_close(FileEntry& entry) {
         // Done names the version this round opened: the producers keep
         // that snapshot (and any later one) pinned, releasing only the
         // strictly older versions this rank can never read again.
-        auto& conn = consume_conns_[static_cast<std::size_t>(entry.conn)];
         diy::BinaryBuffer bb;
         bb.save(static_cast<std::uint8_t>(Op::Done));
         bb.save(entry.name);
         bb.save(entry.version);
-        auto payload = simmpi::make_shared_payload(std::move(bb).take());
-        for (int p = 0; p < conn.ic.peer_size(); ++p)
-            conn.ic.send_shared(p, rpc_request, payload);
+        fan_out(consume_conns_[static_cast<std::size_t>(entry.conn)].ic, rpc_request,
+                std::move(bb).take());
         return;
     }
 
@@ -1146,9 +1125,9 @@ void DistMetadataVol::after_file_close(FileEntry& entry) {
         return;
     }
 
-    std::vector<Conn*> matching;
-    for (auto& c : serve_conns_)
-        if (glob_match(c.pattern, entry.name)) matching.push_back(&c);
+    std::vector<std::size_t> matching;
+    for (std::size_t ci = 0; ci < serve_conns_.size(); ++ci)
+        if (glob_match(serve_conns_[ci].pattern, entry.name)) matching.push_back(ci);
     if (matching.empty()) return;
 
     if (entry.memory && entry.root) {
@@ -1159,11 +1138,11 @@ void DistMetadataVol::after_file_close(FileEntry& entry) {
         // Created here (not by a wire op) so a pin can never race GC.
         L5_SHARED_WRITE(this, "round_pins_", "after_file_close");
         L5_SHARED_WRITE(this, "dones_", "after_file_close");
-        for (auto* c : matching) {
-            const std::size_t ci = static_cast<std::size_t>(c - serve_conns_.data());
-            for (int p = 0; p < c->ic.peer_size(); ++p)
+        for (auto ci : matching) {
+            const int peers = serve_conns_[ci].ic.peer_size();
+            for (int p = 0; p < peers; ++p)
                 round_pins_[{ci, p, entry.name}].push_back(snapshots_.pin(entry.name));
-            dones_expected_ += static_cast<std::uint64_t>(c->ic.peer_size());
+            dones_expected_ += static_cast<std::uint64_t>(peers);
         }
         L5_SHARED_READ(this, "background_", "after_file_close");
         if (background_) {
@@ -1175,17 +1154,14 @@ void DistMetadataVol::after_file_close(FileEntry& entry) {
             schedule_deferred_retry_locked();
         } else {
             retry_deferred();
-            if (serve_on_close_) serve_until(dones_expected_);
+            if (serve_on_close_) serve_loop(false);
         }
     } else if (local_.rank() == 0) {
         // passthru-only file: physical file is complete (collective close
         // barriered); notify consumers it is ready to be opened
         diy::BinaryBuffer bb;
         bb.save(entry.name);
-        auto payload = simmpi::make_shared_payload(std::move(bb).take());
-        for (auto* c : matching)
-            for (int r = 0; r < c->ic.peer_size(); ++r)
-                c->ic.send_shared(r, rpc_ready, payload);
+        for (auto ci : matching) fan_out(serve_conns_[ci].ic, rpc_ready, bb.data());
     }
 }
 
@@ -1275,18 +1251,16 @@ void DistMetadataVol::remote_dataset_read(FileEntry& f, Object* node, const Data
     // which producers answer it? The file's cache is valid for exactly
     // one publish version: a rewrite bumps it, which both prevents stale
     // hits and evicts the dead generation eagerly.
-    std::string key;
+    std::string               key;
+    std::vector<std::int32_t> producers;
+    bool                      cached = false;
+    FileCache*                fc     = nullptr;
     if (query_cache_) {
         diy::BinaryBuffer kb;
         bb.save(kb);
         key = dset;
         key.push_back('\0');
         key.append(reinterpret_cast<const char*>(kb.data().data()), kb.size());
-    }
-    std::vector<std::int32_t> producers;
-    bool                      cached = false;
-    FileCache*                fc     = nullptr;
-    if (query_cache_) {
         fc = &producer_cache_[f.name];
         if (fc->version != f.version) {
             fc->sets.clear();
@@ -1308,11 +1282,13 @@ void DistMetadataVol::remote_dataset_read(FileEntry& f, Object* node, const Data
     // advertises whether this consumer accepts codec frames in the reply
     const std::uint8_t accept_codec = matches(compress_, stream::base_name(f.name), dset) ? 1 : 0;
 
-    std::map<std::uint64_t, int> pending_data; // req id -> producer rank
-    auto send_data_query = [&](int p) {
-        const std::uint64_t id = next_req_id_++;
-        diy::BinaryBuffer   req;
-        req.save(static_cast<std::uint8_t>(Op::DataQuery));
+    // one request id per read, encoded once per request kind; at most
+    // `window` intersect and `window` data requests are out at a time
+    const std::size_t   window = pipelining_ ? SIZE_MAX : 1;
+    const std::uint64_t id     = next_req_id_++;
+    auto                request = [&](Op op) {
+        diy::BinaryBuffer req;
+        req.save(static_cast<std::uint8_t>(op));
         req.save(id);
         req.save(f.name);
         req.save(dset);
@@ -1320,85 +1296,46 @@ void DistMetadataVol::remote_dataset_read(FileEntry& f, Object* node, const Data
         // that snapshot, so the reply is byte-identical to the opened
         // file even while a rewrite is being published
         req.save(f.version);
-        filespace.save(req);
-        req.save(accept_codec);
-        send_buffer(conn.ic, p, rpc_request, std::move(req));
-        pending_data.emplace(id, p);
-        c_data_queries_.inc();
+        return req;
     };
+    auto dq = request(Op::DataQuery);
+    filespace.save(dq);
+    dq.save(accept_codec);
+    Flight data{conn.ic, rpc_data_reply, window, std::move(dq).take(), c_data_queries_, {}, {}};
 
     if (cached) {
         // cache hit: skip the intersect round entirely
-        for (int p : producers) send_data_query(p);
-    } else if (pipelining_) {
-        obs::ScopedTimerNs i_timer(c_t_intersect_ns_);
-        obs::Span          i_span("query.intersect", "lowfive");
-        // issue every intersect query up front...
-        std::map<std::uint64_t, int> pending; // req id -> index block rank
-        for (int p : decomp.intersecting_blocks(bb)) {
-            const std::uint64_t id = next_req_id_++;
-            diy::BinaryBuffer   req;
-            req.save(static_cast<std::uint8_t>(Op::IntersectQuery));
-            req.save(id);
-            req.save(f.name);
-            req.save(dset);
-            req.save(f.version);
-            bb.save(req);
-            send_buffer(conn.ic, p, rpc_request, std::move(req));
-            pending.emplace(id, p);
-            c_intersect_queries_.inc();
-        }
-        // ...and drain replies in arrival order (they may complete out of
-        // rank order); a data query goes out the moment a reply first
-        // names a producer, overlapping with the remaining intersect round
-        std::set<std::int32_t> seen;
-        while (!pending.empty()) {
-            int  from  = -1;
-            auto reply = recv_buffer(conn.ic, simmpi::any_source, rpc_reply, &from);
-            const auto id  = reply.load<std::uint64_t>();
-            auto       pit = pending.find(id);
-            if (pit == pending.end() || pit->second != from)
-                throw Error("lowfive: intersect reply with unexpected id or source");
-            pending.erase(pit);
-            std::vector<std::int32_t> ranks;
-            reply.load(ranks);
-            for (auto r : ranks)
-                if (seen.insert(r).second) send_data_query(static_cast<int>(r));
-        }
-        producers.assign(seen.begin(), seen.end());
+        data.queued.assign(producers.begin(), producers.end());
+        data.pump();
     } else {
         obs::ScopedTimerNs i_timer(c_t_intersect_ns_);
         obs::Span          i_span("query.intersect", "lowfive");
-        // serial reference path: one intersect query in flight at a time,
-        // replies taken in rank order
-        for (int p : decomp.intersecting_blocks(bb)) {
-            const std::uint64_t id = next_req_id_++;
-            diy::BinaryBuffer   req;
-            req.save(static_cast<std::uint8_t>(Op::IntersectQuery));
-            req.save(id);
-            req.save(f.name);
-            req.save(dset);
-            req.save(f.version);
-            bb.save(req);
-            send_buffer(conn.ic, p, rpc_request, std::move(req));
-            c_intersect_queries_.inc();
-            auto reply = recv_buffer(conn.ic, p, rpc_reply);
-            if (reply.load<std::uint64_t>() != id)
-                throw Error("lowfive: intersect reply with unexpected id");
+        auto               iq = request(Op::IntersectQuery);
+        bb.save(iq);
+        Flight isect{conn.ic, rpc_reply, window, std::move(iq).take(), c_intersect_queries_, {}, {}};
+        for (int p : decomp.intersecting_blocks(bb)) isect.queued.push_back(p);
+        isect.pump();
+        // drain replies in arrival order (they may complete out of rank
+        // order); a data query is queued the moment a reply first names a
+        // producer, overlapping with the rest of the intersect round
+        std::set<std::int32_t> seen;
+        while (!isect.inflight.empty()) {
+            int                       from  = -1;
+            auto                      reply = isect.next(id, from);
             std::vector<std::int32_t> ranks;
             reply.load(ranks);
-            producers.insert(producers.end(), ranks.begin(), ranks.end());
+            for (auto r : ranks)
+                if (seen.insert(r).second) data.queued.push_back(r);
+            data.pump();
         }
-        std::sort(producers.begin(), producers.end());
-        producers.erase(std::unique(producers.begin(), producers.end()), producers.end());
-        for (int p : producers) send_data_query(p);
+        producers.assign(seen.begin(), seen.end());
     }
     if (query_cache_ && !cached) fc->sets[key] = producers;
 
     // Step 2: scatter the replies as they arrive
     obs::ScopedTimerNs d_timer(c_t_data_ns_);
     obs::Span          d_span("query.data", "lowfive",
-                              {{"producers", pending_data.size(), nullptr}});
+                              {{"producers", producers.size(), nullptr}});
     std::uint64_t      fetched = 0;
 
     // When the memory selection is a single contiguous run, the packed
@@ -1495,33 +1432,11 @@ void DistMetadataVol::remote_dataset_read(FileEntry& f, Object* node, const Data
             if (direct) recs.push_back(std::move(rec));
         }
     };
-    if (pipelining_) {
-        while (!pending_data.empty()) {
-            int  from  = -1;
-            auto reply = recv_buffer(conn.ic, simmpi::any_source, rpc_data_reply, &from);
-            const auto id  = reply.load<std::uint64_t>();
-            auto       pit = pending_data.find(id);
-            if (pit == pending_data.end() || pit->second != from)
-                throw Error("lowfive: data reply with unexpected id or source");
-            pending_data.erase(pit);
-            if (direct) {
-                // the holes fallback may rescatter from this buffer later
-                scatter_reply(kept_replies.emplace_back(std::move(reply)), from);
-            } else {
-                scatter_reply(reply, from);
-            }
-        }
-    } else {
-        for (auto& [id, p] : pending_data) {
-            auto reply = recv_buffer(conn.ic, p, rpc_data_reply);
-            if (reply.load<std::uint64_t>() != id)
-                throw Error("lowfive: data reply with unexpected id");
-            if (direct)
-                scatter_reply(kept_replies.emplace_back(std::move(reply)), p);
-            else
-                scatter_reply(reply, p);
-        }
-        pending_data.clear();
+    while (!data.inflight.empty()) {
+        int  from  = -1;
+        auto reply = data.next(id, from);
+        // the holes fallback may rescatter from a retained reply later
+        scatter_reply(direct ? kept_replies.emplace_back(std::move(reply)) : reply, from);
     }
     c_bytes_fetched_.add(fetched);
     d_span.end_arg("bytes", fetched);

@@ -65,6 +65,8 @@ public:
 
     /// Manually serve outstanding rounds (needed when serve_on_close is
     /// disabled); returns when all pending done messages have arrived.
+    /// Runs the serve loop inline, or, with a serve thread running, waits
+    /// for the thread to drain the rounds (rethrowing its error).
     void serve_all();
 
     /// The paper's future-work overlap (§V-C "consume data as soon as it
@@ -75,21 +77,24 @@ public:
     /// Reserves tag 901 on the local communicator for the shutdown signal.
     void set_serve_in_background(bool v);
 
-    /// Block until every outstanding round has been served and stop the
-    /// background server. Safe to call when background serving is off.
-    /// Cannot hang: when the serve thread died (world abort, deadline,
-    /// malformed request) the wait ends, the thread is joined, and its
-    /// exception is rethrown here.
+    /// Block until every outstanding round has been served, stop the
+    /// serve thread if one runs, release the trailing round pins, and
+    /// raise the leaked-snapshot-pin lint (L5_CHECK) for any pin still
+    /// out. Synchronous rounds were served inside close, so without a
+    /// thread there is nothing to wait for. Cannot hang: when the serve
+    /// thread died (world abort, deadline, malformed request) the wait
+    /// ends, the thread is joined, and its exception is rethrown here.
     void finish_serving();
 
     ~DistMetadataVol() override;
 
-    /// Consumer-side request pipelining: when true (default), a remote
-    /// read issues every intersect query up front and drains replies in
-    /// arrival order, sending each data query the moment a producer is
-    /// first named; replies carry a request id so they may complete out
-    /// of order. When false, the serial reference path runs: one request
-    /// in flight at a time, replies taken in rank order.
+    /// Consumer-side request window: a remote read keeps at most W
+    /// intersect and W data requests in flight, drains replies in arrival
+    /// order (matched by request id and source), and queues each data
+    /// query the moment a producer is first named. True (default) is
+    /// W = unbounded: every intersect query goes out up front and every
+    /// data query as soon as its producer is named. False is W = 1, the
+    /// serial baseline: one request of each kind in flight at a time.
     void set_pipelining(bool v) { pipelining_ = v; }
 
     /// Consumer-side producer-set cache: when true (default), the set of
@@ -235,27 +240,34 @@ private:
     /// the resulting index + frozen tree as a new MVCC snapshot version.
     void index_file(FileEntry& entry);
 
-    /// Serve requests until `target` total done messages have arrived.
-    void serve_until(std::uint64_t target);
-    /// Handle one queued request if any; returns true when something was
-    /// handled (or deferred work was completed).
-    bool poll_requests();
-    /// Dispatch one request: Intersect/Data queries answer against a
-    /// pinned snapshot with no serve-mutex acquisition; everything else
-    /// (Done, MetadataQuery, stream control) runs under mutex_.
-    void handle_request(Conn& conn, int src, std::vector<std::byte>&& payload);
-    void handle_read_request(Conn& conn, int src, diy::BinaryBuffer&& bb, std::uint8_t op);
-    void handle_control_request(Conn& conn, int src, diy::BinaryBuffer&& bb, std::uint8_t op);
+    /// The one serve loop (Algorithm 2). Inline (`on_thread` false, under
+    /// mutex_): until every expected Done has arrived. On the serve
+    /// thread: until the empty shutdown self-send on local_, replaying
+    /// parked requests on each one-byte nudge.
+    void serve_loop(bool on_thread);
+    /// Dispatch one request from serve connection `ci`: Intersect/Data
+    /// queries answer against a pinned snapshot with no serve-mutex
+    /// acquisition; everything else (Done, MetadataQuery, stream
+    /// control) runs under mutex_. An unknown op throws.
+    void handle_request(std::size_t ci, int src, std::vector<std::byte>&& payload);
+    void handle_read_request(std::size_t ci, int src, diy::BinaryBuffer&& bb, std::uint8_t op);
+    void handle_control_request(std::size_t ci, int src, diy::BinaryBuffer&& bb, std::uint8_t op);
+    /// Park a request that cannot be answered yet, as it arrived, for
+    /// retry_deferred. Requires mutex_ held.
+    void park_locked(std::size_t ci, int src, diy::BinaryBuffer&& bb, const char* site);
+    /// Take the parked batch under mutex_ and handle it outside that guard.
     void retry_deferred();
     /// Replay parked requests after a publish/stream event. With a live
     /// background server the replay is handed to it via a one-byte
     /// self-send nudge (request handling stays single-threaded); inline
     /// otherwise. Requires mutex_ held.
     void schedule_deferred_retry_locked();
-    /// Raise the leaked-snapshot-pin lint (L5_CHECK) when pins are still
-    /// outstanding at finish_serving.
-    void check_pin_leaks();
+    /// Wait (lock holds mutex_ once) until every round is served, then
+    /// rethrow the serve thread's error if it died.
+    void wait_rounds_locked(simmpi::detail::CoopLock<std::recursive_mutex>& lock,
+                            const char* site);
 
+    /// The serve thread's body: serve_loop(true), recording any error.
     void background_loop();
 
     /// Wake dones_cv_ waiters on both paths: the real condition variable

@@ -81,8 +81,7 @@ void SnapshotPin::release() {
     // "pins == 0" and "superseded")
     l5race::atomic_consume(&snap->superseded_);
     if (prev == 1 && snap->superseded_.load(std::memory_order_seq_cst) && st) {
-        std::lock_guard<std::mutex> lk(st->mutex);
-        l5race::LockHold rh(&st->mutex, "mvcc/unpin-gc", "mvcc.leaf");
+        l5race::AnnouncedLock lk(st->mutex, "mvcc/unpin-gc", "mvcc.leaf");
         if (snap->pins_.load(std::memory_order_seq_cst) == 0)
             st->gc_locked(snap->name_, snap->version_);
     }
@@ -105,8 +104,7 @@ SnapshotPin SnapshotStore::publish(const std::string& name, std::shared_ptr<h5::
     // hands its buffers to the h5 piece pool (another lock)
     std::shared_ptr<const Root>     old_root;
     std::shared_ptr<const Snapshot> old;
-    std::lock_guard<std::mutex>     lk(state_->mutex);
-    l5race::LockHold rh(&state_->mutex, "mvcc/publish", "mvcc.leaf");
+    l5race::AnnouncedLock lk(state_->mutex, "mvcc/publish", "mvcc.leaf");
 
     auto snap         = std::shared_ptr<Snapshot>(new Snapshot());
     snap->name_       = name;
@@ -148,8 +146,7 @@ void SnapshotStore::retire(const std::string& name, bool forget_versions) {
     // dropped after unlock, as in publish
     std::shared_ptr<const Root>     old_root;
     std::shared_ptr<const Snapshot> current;
-    std::lock_guard<std::mutex>     lk(state_->mutex);
-    l5race::LockHold rh(&state_->mutex, "mvcc/retire", "mvcc.leaf");
+    l5race::AnnouncedLock lk(state_->mutex, "mvcc/retire", "mvcc.leaf");
     l5race::atomic_consume(&state_->root);
     old_root = state_->root.load(std::memory_order_acquire);
     if (auto it = old_root->current.find(name); it != old_root->current.end()) {
@@ -184,8 +181,7 @@ SnapshotPin SnapshotStore::pin(const std::string& name, std::uint64_t version) c
         return SnapshotPin(it->second);
     // superseded-but-live lookup: leaf mutex, still never the vol's
     // serve mutex (this is part of pinning, before any ReadSection)
-    std::lock_guard<std::mutex> lk(state_->mutex);
-    l5race::LockHold rh(&state_->mutex, "mvcc/pin-version", "mvcc.leaf");
+    l5race::AnnouncedLock lk(state_->mutex, "mvcc/pin-version", "mvcc.leaf");
     L5_SHARED_READ(state_.get(), "live", "mvcc/pin-version");
     auto nit = state_->live.find(name);
     if (nit == state_->live.end()) return {};
@@ -195,8 +191,7 @@ SnapshotPin SnapshotStore::pin(const std::string& name, std::uint64_t version) c
 }
 
 std::size_t SnapshotStore::live_snapshots() const {
-    std::lock_guard<std::mutex> lk(state_->mutex);
-    l5race::LockHold rh(&state_->mutex, "mvcc/live_snapshots", "mvcc.leaf");
+    l5race::AnnouncedLock lk(state_->mutex, "mvcc/live_snapshots", "mvcc.leaf");
     L5_SHARED_READ(state_.get(), "live", "mvcc/live_snapshots");
     std::size_t                 n = 0;
     for (const auto& [name, versions] : state_->live) n += versions.size();

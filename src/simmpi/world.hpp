@@ -52,8 +52,7 @@ public:
 
     void push(Envelope&& env) {
         {
-            std::lock_guard<std::mutex> lock(mutex_);
-            l5race::LockHold rh(&mutex_, "Mailbox::push", "mailbox.mutex");
+            l5race::AnnouncedLock held(mutex_, "Mailbox::push", "mailbox.mutex");
             // the envelope carries the sender's clock: matching it in pop
             // is a happens-before edge from everything before this send
             env.race_seq = l5race::publish_token();
@@ -67,8 +66,7 @@ public:
     /// Wake every waiter with an abort error; subsequent waits throw too.
     void poison(std::shared_ptr<const AbortInfo> info) {
         {
-            std::lock_guard<std::mutex> lock(mutex_);
-            l5race::LockHold rh(&mutex_, "Mailbox::poison", "mailbox.mutex");
+            l5race::AnnouncedLock held(mutex_, "Mailbox::poison", "mailbox.mutex");
             L5_SHARED_WRITE(this, "poison_", "Mailbox::poison");
             if (!poison_) poison_ = std::move(info);
         }
@@ -78,8 +76,7 @@ public:
 
     /// Blocks until a matching envelope is available, removes and returns it.
     Envelope pop(std::uint64_t context, int src, int tag, const Deadline& dl = {}) {
-        std::unique_lock<std::mutex> lock(mutex_);
-        l5race::LockHold rh(&mutex_, "Mailbox::pop", "mailbox.mutex");
+        l5race::AnnouncedLock held(mutex_, "Mailbox::pop", "mailbox.mutex");
         for (;;) {
             check_poison();
             if (auto it = find(context, src, tag); it != queue_.end()) {
@@ -89,14 +86,13 @@ public:
                 l5race::consume_token(env.race_seq);
                 return env;
             }
-            wait(lock, dl, "recv", src, tag);
+            wait(held.lock(), dl, "recv", src, tag);
         }
     }
 
     /// Non-destructive probe; nullopt when no matching envelope is queued.
     std::optional<Status> probe(std::uint64_t context, int src, int tag) {
-        std::lock_guard<std::mutex> lock(mutex_);
-        l5race::LockHold rh(&mutex_, "Mailbox::probe", "mailbox.mutex");
+        l5race::AnnouncedLock held(mutex_, "Mailbox::probe", "mailbox.mutex");
         check_poison();
         L5_SHARED_READ(this, "queue_", "Mailbox::probe");
         if (auto it = find(context, src, tag); it != queue_.end())
@@ -106,14 +102,13 @@ public:
 
     /// Blocking probe: waits until a matching envelope is queued.
     Status probe_wait(std::uint64_t context, int src, int tag, const Deadline& dl = {}) {
-        std::unique_lock<std::mutex> lock(mutex_);
-        l5race::LockHold rh(&mutex_, "Mailbox::probe_wait", "mailbox.mutex");
+        l5race::AnnouncedLock held(mutex_, "Mailbox::probe_wait", "mailbox.mutex");
         for (;;) {
             check_poison();
             L5_SHARED_READ(this, "queue_", "Mailbox::probe_wait");
             if (auto it = find(context, src, tag); it != queue_.end())
                 return Status{it->src, it->tag, it->size(), it->check_seq};
-            wait(lock, dl, "probe", src, tag);
+            wait(held.lock(), dl, "probe", src, tag);
         }
     }
 
@@ -123,8 +118,7 @@ public:
     /// Blocks on the condition variable — no spinning.
     Status probe_wait_any(std::span<const std::uint64_t> contexts, int src, int tag,
                           std::size_t* which, const Deadline& dl = {}) {
-        std::unique_lock<std::mutex> lock(mutex_);
-        l5race::LockHold rh(&mutex_, "Mailbox::probe_wait_any", "mailbox.mutex");
+        l5race::AnnouncedLock held(mutex_, "Mailbox::probe_wait_any", "mailbox.mutex");
         for (;;) {
             check_poison();
             L5_SHARED_READ(this, "queue_", "Mailbox::probe_wait_any");
@@ -134,7 +128,7 @@ public:
                     return Status{it->src, it->tag, it->size(), it->check_seq};
                 }
             }
-            wait(lock, dl, "probe_any", src, tag);
+            wait(held.lock(), dl, "probe_any", src, tag);
         }
     }
 

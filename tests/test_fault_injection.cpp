@@ -10,13 +10,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <filesystem>
 #include <functional>
 #include <future>
 #include <numeric>
 #include <thread>
+
+#include <unistd.h>
 
 using namespace simmpi;
 using workflow::Context;
@@ -572,4 +576,88 @@ tasks:
     EXPECT_THROW(workflow::parse_workflow("tasks:\n  - name: a\n    ranks: 1\n    func: f\n"
                                           "    restarts: -1\n"),
                  workflow::ConfigError);
+}
+
+TEST(FaultInjection, UnknownRequestOpFailsTheServingProducer) {
+    // an op byte outside the protocol must fail the serve loop loudly: a
+    // silently dropped request (say, a Done) stalls the round until the
+    // deadline instead
+    with_watchdog([] {
+        try {
+            Runtime::run(
+                2,
+                [](Comm& world, int) {
+                    const int producer[] = {0}, consumer[] = {1};
+                    Comm      local = world.split(world.rank());
+                    Comm      ic    = Comm::create_intercomm(world, producer, consumer);
+                    if (world.rank() == 0) {
+                        auto vol = std::make_shared<lowfive::DistMetadataVol>(local);
+                        vol->serve_to(ic);
+                        h5::File f = h5::File::create("unknown_op.h5", vol);
+                        f.create_dataset("v", h5::dt::uint64(), h5::Dataspace({4}));
+                        f.close(); // serves until the consumer's Done
+                    } else {
+                        const std::byte op{0xEE};
+                        ic.send(0, 901, &op, 1); // the serve request tag
+                    }
+                },
+                Runtime::RunOptions{.faults             = std::nullopt,
+                                    .default_timeout_ms = 5000,
+                                    .sched              = {},
+                                    .check              = {},
+                                    .race               = {}});
+            FAIL() << "expected RankFailure";
+        } catch (const RankFailure& rf) {
+            try {
+                std::rethrow_exception(rf.cause());
+            } catch (const h5::Error& e) {
+                EXPECT_NE(std::string(e.what()).find("unknown request op 238"), std::string::npos)
+                    << e.what();
+            } catch (const std::exception& e) {
+                ADD_FAILURE() << "expected the unknown-op error, got: " << e.what();
+            }
+        }
+    });
+}
+
+TEST(FaultInjection, PeerAbortDuringFileCloseBarrierIsARankFailure) {
+    // a collective file-mode close frees its staging and forgets the file
+    // before the closing barrier; when a peer dies there, the close throws
+    // and the File destructor's retry must fail cleanly (unknown handle),
+    // not reach the freed staging tree
+    const auto path = (std::filesystem::temp_directory_path()
+                       / ("l5_close_abort_" + std::to_string(::getpid()) + ".h5"))
+                          .string();
+    h5::PfsModel::instance().configure(0, 0);
+    std::atomic<bool> close_threw{false};
+    with_watchdog([&] {
+        try {
+            Runtime::run(2, [&](Comm& world) {
+                auto vol = std::make_shared<lowfive::MetadataVol>(
+                    std::make_shared<h5::NativeVol>(world));
+                vol->clear_memory();
+                vol->set_passthru("*", "*");
+                if (world.rank() == 1) {
+                    world.barrier(); // matches the create barrier of rank 0's close
+                    throw std::runtime_error("rank 1 dies before the closing barrier");
+                }
+                h5::File f = h5::File::create(path, vol);
+                auto     d = f.create_dataset("v", h5::dt::uint64(), h5::Dataspace({4}));
+                const std::uint64_t vals[4] = {1, 2, 3, 4};
+                d.write(vals);
+                try {
+                    f.close();
+                } catch (...) {
+                    close_threw = true;
+                    throw; // ~File retries the close during this unwinding
+                }
+            });
+            FAIL() << "expected RankFailure";
+        } catch (const RankFailure& rf) {
+            const auto ranks = rf.failed_ranks();
+            EXPECT_NE(std::find(ranks.begin(), ranks.end(), 1), ranks.end());
+        }
+    });
+    EXPECT_TRUE(close_threw.load()) << "rank 0's close must fail in the closing barrier";
+    std::filesystem::remove(path);
 }

@@ -247,3 +247,50 @@ TEST(BytePool, SecondSameSizeWorkflowRoundHitsThePool) {
     EXPECT_EQ(round_hits[1], 1u) << "the second round's write must reuse the first's buffer";
     EXPECT_EQ(h5::piece_pool_stats().held, 0u) << "nothing stays pooled after workflow::run";
 }
+
+TEST(BytePool, FileModeProducerStagingIsFreedBeforeTheFileIsReady) {
+    // every producer rank frees its staging tree before the closing
+    // barrier, so once rank 0 announces the file as ready no producer
+    // piece is live: a consumer's read staging never overlaps them
+    const auto path = (std::filesystem::temp_directory_path()
+                       / ("l5pool_ready_" + std::to_string(::getpid()) + ".h5"))
+                          .string();
+    h5::PfsModel::instance().configure(0, 0);
+    constexpr std::uint64_t n = 2 * MiB / 8; // per producer rank
+    // earlier tests in this process may have dropped pooled-class buffers
+    // without handing them back: count from here
+    const std::size_t live0        = h5::piece_pool_stats().live;
+    std::size_t       live_at_open = ~std::size_t(0);
+    workflow::Options       opts;
+    opts.mode = workflow::Mode::file();
+    workflow::run(
+        {
+            {"producer", 2,
+             [&](workflow::Context& ctx) {
+                 h5::File f = h5::File::create(path, ctx.vol);
+                 auto     d = f.create_dataset("v", h5::dt::uint64(), h5::Dataspace({2 * n}));
+                 const auto    r = static_cast<std::uint64_t>(ctx.rank());
+                 h5::Dataspace sel({2 * n});
+                 diy::Bounds   b(1);
+                 b.min[0] = static_cast<std::int64_t>(r * n);
+                 b.max[0] = static_cast<std::int64_t>((r + 1) * n);
+                 sel.select_box(b);
+                 std::vector<std::uint64_t> vals(n);
+                 for (std::uint64_t i = 0; i < n; ++i) vals[i] = r * n + i;
+                 d.write(vals.data(), sel);
+                 f.close();
+             }},
+            {"consumer", 1,
+             [&](workflow::Context& ctx) {
+                 h5::File f   = h5::File::open(path, ctx.vol);
+                 live_at_open = h5::piece_pool_stats().live;
+                 auto vals    = f.open_dataset("v").read_vector<std::uint64_t>();
+                 f.close();
+                 ASSERT_EQ(vals.size(), 2 * n);
+                 for (std::uint64_t i = 0; i < 2 * n; ++i) ASSERT_EQ(vals[i], i) << i;
+             }},
+        },
+        {workflow::Link{0, 1, "*"}}, opts);
+    EXPECT_EQ(live_at_open, live0) << "a producer rank still held its staging tree";
+    std::filesystem::remove(path);
+}
