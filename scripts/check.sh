@@ -10,6 +10,10 @@
 #   scripts/check.sh --ubsan    additionally configure an
 #                               UndefinedBehaviorSanitizer tree in
 #                               ./build-ubsan and run the full suite under it
+#   scripts/check.sh --asan     additionally configure the CI's Debug
+#                               ASan+UBSan tree (with _GLIBCXX_ASSERTIONS
+#                               bounds checks) in ./build-asan and run the
+#                               full suite under it
 #
 # Extra arguments after the flags are passed through to ctest
 # (e.g. scripts/check.sh -R QueryPipeline).
@@ -19,10 +23,12 @@ cd "$(dirname "$0")/.."
 
 tsan=0
 ubsan=0
+asan=0
 while [[ "${1:-}" == --* ]]; do
     case "$1" in
         --tsan) tsan=1 ;;
         --ubsan) ubsan=1 ;;
+        --asan) asan=1 ;;
         *) echo "check.sh: unknown flag $1" >&2; exit 2 ;;
     esac
     shift
@@ -136,6 +142,15 @@ if [[ $ubsan -eq 1 ]]; then
     cmake --build build-ubsan -j "$jobs"
     UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
         ctest --test-dir build-ubsan --output-on-failure --no-tests=error --timeout 300 -j "$jobs"
+fi
+
+if [[ $asan -eq 1 ]]; then
+    echo "== ASan+UBSan tree with _GLIBCXX_ASSERTIONS (build-asan) =="
+    cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=Debug \
+        -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-omit-frame-pointer -D_GLIBCXX_ASSERTIONS" >/dev/null
+    cmake --build build-asan -j "$jobs"
+    ASAN_OPTIONS=detect_leaks=0 UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
+        ctest --test-dir build-asan --output-on-failure --no-tests=error --timeout 300 -j "$jobs"
 fi
 
 echo "check.sh: all green"

@@ -1,5 +1,7 @@
 #pragma once
 
+#include "serialization.hpp"
+
 #include <array>
 #include <cstdint>
 #include <optional>
@@ -61,9 +63,14 @@ struct Bounds {
         }
     }
 
+    /// Rejects a dimension outside [0, max_dim]: `dim` comes from the
+    /// peer or file bytes and indexes min/max.
     template <typename Buffer>
     static Bounds load(Buffer& bb) {
         Bounds b(bb.template load<std::int32_t>());
+        if (b.dim < 0 || b.dim > max_dim)
+            throw DecodeError("diy: box dimension " + std::to_string(b.dim) + " outside [0, "
+                              + std::to_string(max_dim) + "]");
         for (int i = 0; i < b.dim; ++i) {
             bb.load(b.min[static_cast<std::size_t>(i)]);
             bb.load(b.max[static_cast<std::size_t>(i)]);

@@ -3,13 +3,19 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <span>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
 #include <vector>
 
 namespace diy {
+
+/// Bytes from a peer or a file that do not decode: a read past the end,
+/// a length the remaining bytes cannot hold, or a field out of range.
+class DecodeError : public std::out_of_range {
+public:
+    using std::out_of_range::out_of_range;
+};
 
 /// Append-only/consume-only binary buffer used to serialize metadata,
 /// bounding boxes, and dataset payloads into message-passing payloads,
@@ -41,7 +47,7 @@ public:
     /// Advance the read cursor past `n` bytes and return a pointer to the
     /// skipped region (valid while the buffer lives) — zero-copy reads.
     const std::byte* skip(std::size_t n) {
-        if (n > remaining()) throw std::out_of_range("diy::BinaryBuffer: skip past end");
+        if (n > remaining()) throw DecodeError("diy::BinaryBuffer: skip past end");
         const std::byte* p = data_.data() + pos_;
         pos_ += n;
         return p;
@@ -49,8 +55,9 @@ public:
 
     void load_raw(void* p, std::size_t n) {
         if (n > remaining())
-            throw std::out_of_range("diy::BinaryBuffer: read past end ("
-                                    + std::to_string(pos_ + n) + " > " + std::to_string(data_.size()) + ")");
+            throw DecodeError("diy::BinaryBuffer: read past end (" + std::to_string(pos_ + n)
+                              + " > " + std::to_string(data_.size()) + ")");
+        if (n == 0) return; // p may be an empty vector's null data()
         std::memcpy(p, data_.data() + pos_, n);
         pos_ += n;
     }
@@ -101,13 +108,6 @@ public:
         load_raw(v.data(), n * sizeof(T));
     }
 
-    template <typename T>
-        requires std::is_trivially_copyable_v<T>
-    void save_span(std::span<const T> v) {
-        save<std::uint64_t>(v.size());
-        save_raw(v.data(), v.size_bytes());
-    }
-
 private:
     /// A length prefix counting elements of `elem_size` bytes, rejected
     /// when the unread bytes cannot hold that many: the caller's resize
@@ -115,9 +115,8 @@ private:
     std::size_t load_count(std::size_t elem_size) {
         const auto n = load<std::uint64_t>();
         if (n > remaining() / elem_size)
-            throw std::out_of_range("diy::BinaryBuffer: length " + std::to_string(n)
-                                    + " exceeds the " + std::to_string(remaining())
-                                    + " bytes remaining");
+            throw DecodeError("diy::BinaryBuffer: length " + std::to_string(n) + " exceeds the "
+                              + std::to_string(remaining()) + " bytes remaining");
         return static_cast<std::size_t>(n);
     }
 

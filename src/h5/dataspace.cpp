@@ -349,21 +349,18 @@ void Dataspace::save(diy::BinaryBuffer& bb) const {
     bb.save<std::uint8_t>(all_ ? 1 : 0);
     if (!all_) {
         bb.save<std::uint64_t>(boxes_.size());
-        for (const auto& b : boxes_) {
-            bb.save<std::int32_t>(b.dim);
-            for (int i = 0; i < b.dim; ++i) {
-                bb.save(b.min[static_cast<std::size_t>(i)]);
-                bb.save(b.max[static_cast<std::size_t>(i)]);
-            }
-        }
+        for (const auto& b : boxes_) b.save(bb);
     }
 }
 
 Dataspace Dataspace::load(diy::BinaryBuffer& bb) {
     Extent dims;
     bb.load(dims);
-    Dataspace sp(std::move(dims));
-    if (bb.load<std::uint8_t>() == 0) {
+    Dataspace  sp(std::move(dims));
+    const auto all = bb.load<std::uint8_t>();
+    if (all > 1)
+        throw Error("h5: dataspace selection flag " + std::to_string(all) + " is not 0 or 1");
+    if (all == 0) {
         sp.select_none();
         // the bytes may come from a peer or a file: validate the box count
         // and each box's rank before anything is sized or indexed by them
@@ -373,16 +370,14 @@ Dataspace Dataspace::load(diy::BinaryBuffer& bb) {
             throw Error("h5: dataspace claims " + std::to_string(n) + " boxes but only "
                         + std::to_string(bb.remaining()) + " bytes remain");
         for (std::uint64_t k = 0; k < n; ++k) {
-            const auto rank = bb.load<std::int32_t>();
-            if (rank != sp.dim())
-                throw Error("h5: dataspace box rank " + std::to_string(rank)
-                            + " does not match the extent rank " + std::to_string(sp.dim()));
-            diy::Bounds b(rank);
-            for (int i = 0; i < b.dim; ++i) {
-                bb.load(b.min[static_cast<std::size_t>(i)]);
-                bb.load(b.max[static_cast<std::size_t>(i)]);
+            diy::Bounds b;
+            try {
+                b = diy::Bounds::load(bb);
+            } catch (const diy::DecodeError& e) {
+                throw Error(std::string("h5: dataspace box: ") + e.what());
             }
-            // saved selections were validated disjoint when constructed
+            // saved selections were validated disjoint when constructed;
+            // the rank and extent checks still apply
             sp.add_box_unchecked(b);
         }
     }

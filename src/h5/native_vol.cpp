@@ -57,11 +57,16 @@ void* NativeVol::file_open(const std::string& name) {
     std::uint64_t meta_off = 0, meta_size = 0;
     std::memcpy(&meta_off, header + 12, 8);
     std::memcpy(&meta_size, header + 20, 8);
+    // the header is untrusted: the metadata must lie inside the file
+    // before a buffer is sized by it
+    if (const auto size = f->io.size(); meta_off > size || meta_size > size - meta_off)
+        throw Error("h5: '" + name + "' claims metadata past its end");
 
     std::vector<std::byte> blob(meta_size);
     f->io.pread(blob.data(), meta_size, meta_off);
     diy::BinaryBuffer bb(std::move(blob));
     f->root = Object::load_skeleton(bb);
+    if (!bb.exhausted()) throw Error("h5: '" + name + "' has trailing metadata bytes");
 
     Object* h = f->root.get();
     files_.emplace(h, std::move(f));

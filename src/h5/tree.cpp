@@ -38,8 +38,13 @@ void Object::save_skeleton(diy::BinaryBuffer& bb) const {
     for (const auto& c : children) c->save_skeleton(bb);
 }
 
-std::unique_ptr<Object> Object::load_skeleton(diy::BinaryBuffer& bb) {
-    auto        kind = static_cast<ObjectKind>(bb.load<std::uint8_t>());
+std::unique_ptr<Object> Object::load_skeleton(diy::BinaryBuffer& bb, int depth) {
+    if (depth > max_nesting)
+        throw Error("h5: metadata skeleton nests deeper than " + std::to_string(max_nesting));
+    const auto raw_kind = bb.load<std::uint8_t>();
+    if (raw_kind > static_cast<std::uint8_t>(ObjectKind::Dataset))
+        throw Error("h5: unknown object kind " + std::to_string(raw_kind));
+    const auto  kind = static_cast<ObjectKind>(raw_kind);
     std::string name;
     bb.load(name);
     auto obj = std::make_unique<Object>(kind, name);
@@ -62,7 +67,7 @@ std::unique_ptr<Object> Object::load_skeleton(diy::BinaryBuffer& bb) {
 
     auto nchildren = bb.load<std::uint64_t>();
     for (std::uint64_t i = 0; i < nchildren; ++i)
-        obj->add_child(load_skeleton(bb));
+        obj->add_child(load_skeleton(bb, depth + 1));
     return obj;
 }
 

@@ -123,9 +123,10 @@ struct Object {
     /// Serialize the subtree's *metadata* (names, kinds, types, spaces,
     /// attributes — not dataset payloads, but including each dataset's
     /// file_data_offset). Used both by the native file format and by the
-    /// distributed VOL's metadata exchange.
+    /// distributed VOL's metadata exchange. load_skeleton rejects an
+    /// unknown kind and nesting deeper than max_nesting.
     void           save_skeleton(diy::BinaryBuffer& bb) const;
-    static std::unique_ptr<Object> load_skeleton(diy::BinaryBuffer& bb);
+    static std::unique_ptr<Object> load_skeleton(diy::BinaryBuffer& bb, int depth = 0);
 };
 
 /// Assemble the elements selected by `want` from a dataset node's recorded

@@ -1,5 +1,7 @@
 #pragma once
 
+#include "dataspace.hpp"
+
 #include <diy/serialization.hpp>
 
 #include <cstdint>
@@ -7,6 +9,11 @@
 #include <vector>
 
 namespace h5 {
+
+/// Deepest nesting the decoders accept: compounds within compounds, and
+/// objects within objects of a metadata skeleton. Each level is one stack
+/// frame of a recursive decoder, so crafted bytes must not choose it.
+inline constexpr int max_nesting = 64;
 
 /// Class of an atomic datatype, mirroring HDF5's type classes that the
 /// paper's workloads use (integers, floats) plus compound types for
@@ -80,16 +87,23 @@ public:
         }
     }
 
-    static Datatype load(diy::BinaryBuffer& bb) {
-        Datatype t;
-        t.class_ = static_cast<TypeClass>(bb.load<std::uint8_t>());
+    /// Decodes peer or file bytes: rejects an unknown class and compound
+    /// nesting deeper than max_nesting (each level is a stack frame).
+    static Datatype load(diy::BinaryBuffer& bb, int depth = 0) {
+        if (depth > max_nesting)
+            throw Error("h5: datatype nests deeper than " + std::to_string(max_nesting));
+        Datatype   t;
+        const auto cls = bb.load<std::uint8_t>();
+        if (cls > static_cast<std::uint8_t>(TypeClass::Compound))
+            throw Error("h5: unknown datatype class " + std::to_string(cls));
+        t.class_ = static_cast<TypeClass>(cls);
         t.size_  = bb.load<std::uint64_t>();
         auto n   = bb.load<std::uint64_t>();
         for (std::uint64_t i = 0; i < n; ++i) {
             std::string name;
             bb.load(name);
             auto off = bb.load<std::uint64_t>();
-            t.insert(name, off, Datatype::load(bb));
+            t.insert(name, off, Datatype::load(bb, depth + 1));
         }
         return t;
     }

@@ -1,6 +1,7 @@
 #include "dist_vol.hpp"
 
 #include "codec.hpp"
+#include "proto.hpp"
 
 #include <check/check.hpp>
 #include <diy/serialization.hpp>
@@ -40,53 +41,21 @@ public:
 
 namespace {
 
-enum class Op : std::uint8_t {
-    MetadataQuery  = 1,
-    IntersectQuery = 2,
-    DataQuery      = 3,
-    Done           = 4,
-    // streaming protocol (see DESIGN.md § Streaming transport): the
-    // consumer task's rank 0 asks producer rank 0 (the coordinator) for
-    // the next step, pins it on every other producer rank, and releases
-    // all pins once every consumer rank finished reading the step
-    StepNext    = 5, ///< consumer rank 0 → coordinator: grant next step >= min
-    StepPin     = 6, ///< consumer rank 0 → other producer ranks: pin granted step
-    StepRelease = 7, ///< consumer rank 0 → every producer rank: drop one pin
-    StreamDone  = 8, ///< consumer rank 0 → every producer rank: task unsubscribed
-};
-
-constexpr int rpc_request    = 901;
-constexpr int rpc_reply      = 902; ///< metadata / intersect replies
-constexpr int rpc_ready      = 903;
-constexpr int rpc_data_reply = 904; ///< data-query replies (separate tag so
-                                    ///< eagerly issued data queries cannot
-                                    ///< match the intersect drain)
-
-void send_buffer(const simmpi::Comm& ic, int dest, int tag, diy::BinaryBuffer&& bb) {
-    ic.send(dest, tag, std::move(bb).take());
-}
-
-diy::BinaryBuffer recv_buffer(const simmpi::Comm& ic, int src, int tag, int* from = nullptr) {
-    std::vector<std::byte> raw;
-    auto                   st = ic.recv(src, tag, raw);
-    if (from) *from = st.source;
-    return diy::BinaryBuffer(std::move(raw));
-}
-
-/// Send one shared payload to every peer of `ic` (Done, StepRelease,
-/// StreamDone and the file-ready notification).
-void fan_out(const simmpi::Comm& ic, int tag, std::vector<std::byte> bytes) {
-    auto payload = simmpi::make_shared_payload(std::move(bytes));
-    for (int p = 0; p < ic.peer_size(); ++p) ic.send_shared(p, tag, payload);
+/// Send one message to every peer of `ic` as one shared payload (Done,
+/// StepRelease, StreamDone and the file-ready notice).
+template <class M, class... A>
+void fan_out(const simmpi::Comm& ic, const A&... fields) {
+    auto payload = simmpi::make_shared_payload(proto::encode<M>(fields...));
+    for (int p = 0; p < ic.peer_size(); ++p) ic.send_shared(p, M::tag, payload);
 }
 
 /// One request kind's in-flight window on the query plane (Algorithm 3).
 /// The request is encoded once; each queued target gets it as soon as
 /// fewer than `window` are out, and every reply must carry the read's
 /// request id and come from a target with a request out.
+template <class Reply>
 struct Flight {
     const simmpi::Comm&    ic;
-    int                    reply_tag;
     std::size_t            window;
     std::vector<std::byte> request;
     obs::Counter&          sent;
@@ -95,32 +64,22 @@ struct Flight {
 
     void pump() {
         for (; !queued.empty() && inflight.size() < window; queued.pop_front()) {
-            ic.send(queued.front(), rpc_request, request.data(), request.size());
+            ic.send(queued.front(), proto::rpc_request, request.data(), request.size());
             inflight.insert(queued.front());
             sent.inc();
         }
     }
 
-    /// The next reply in arrival order; its slot goes to the next target.
-    diy::BinaryBuffer next(std::uint64_t id, int& from) {
-        auto reply = recv_buffer(ic, simmpi::any_source, reply_tag, &from);
-        if (reply.load<std::uint64_t>() != id || inflight.erase(from) == 0)
+    /// The next reply's header in arrival order (`in` keeps the reply,
+    /// positioned past it); its slot goes to the next target.
+    Reply next(std::uint64_t id, diy::BinaryBuffer& in, int& from) {
+        auto reply = proto::recv<Reply>(ic, simmpi::any_source, &in, &from);
+        if (reply.id != id || inflight.erase(from) == 0)
             throw Error("lowfive: query reply with unexpected id or source");
         pump();
         return reply;
     }
 };
-
-/// A StepRelease request: drop one pin of `step` (a pin rollback when
-/// `rollback`, else a drain).
-std::vector<std::byte> step_release(const std::string& name, stream::StepId step, bool rollback) {
-    diy::BinaryBuffer bb;
-    bb.save(static_cast<std::uint8_t>(Op::StepRelease));
-    bb.save(name);
-    bb.save<std::uint64_t>(step.value());
-    bb.save<std::uint8_t>(rollback ? 1 : 0);
-    return std::move(bb).take();
-}
 
 /// Collect (path, dataset node) pairs in deterministic DFS order.
 void collect_datasets(Object* obj, std::vector<std::pair<std::string, Object*>>& out) {
@@ -142,7 +101,7 @@ DistMetadataVol::DistMetadataVol(simmpi::Comm local, h5::VolPtr passthru_vol)
     // claim the RPC control-tag range for the checker: user traffic on
     // these tags elsewhere is a collision, and the serve loop's any-source
     // request/reply drains are an order-insensitive protocol by design
-    local_.check_reserve_tags(rpc_request, rpc_data_reply, "dist_vol");
+    local_.check_reserve_tags(proto::rpc_request, proto::rpc_data_reply, "dist_vol");
     if (const char* e = std::getenv("L5_COMPRESS"); e && *e && std::atoi(e) != 0)
         compress_.push_back({"*", "*"});
     codec::WireModel::instance().configure_from_env();
@@ -246,7 +205,7 @@ void DistMetadataVol::finish_serving() {
         }
         if (!serve_died) {
             try {
-                local_.send(local_.rank(), rpc_request, nullptr, 0); // shutdown signal
+                local_.send(local_.rank(), proto::rpc_request, nullptr, 0); // shutdown signal
             } catch (...) {
                 // the send can only fail when the world was aborted under
                 // us; the same poison has already woken the serve thread
@@ -342,12 +301,12 @@ void DistMetadataVol::invalidate_producer_cache(const std::string& file) {
 }
 
 void DistMetadataVol::serve_to(simmpi::Comm intercomm, std::string pattern) {
-    intercomm.check_reserve_tags(rpc_request, rpc_data_reply, "dist_vol");
+    intercomm.check_reserve_tags(proto::rpc_request, proto::rpc_data_reply, "dist_vol");
     serve_conns_.push_back({std::move(intercomm), std::move(pattern)});
 }
 
 void DistMetadataVol::consume_from(simmpi::Comm intercomm, std::string pattern) {
-    intercomm.check_reserve_tags(rpc_request, rpc_data_reply, "dist_vol");
+    intercomm.check_reserve_tags(proto::rpc_request, proto::rpc_data_reply, "dist_vol");
     consume_conns_.push_back({std::move(intercomm), std::move(pattern)});
 }
 
@@ -380,7 +339,7 @@ void DistMetadataVol::index_file(FileEntry& entry) {
             diy::Bounds bb = piece.filespace.bounding_box();
             if (bb.empty()) continue;
             for (int t : decomp.intersecting_blocks(bb))
-                bb.save(out[static_cast<std::size_t>(t)]);
+                proto::append<proto::IndexBox>(out[static_cast<std::size_t>(t)], bb);
         }
 
         std::vector<std::vector<std::byte>> payloads;
@@ -391,8 +350,8 @@ void DistMetadataVol::index_file(FileEntry& entry) {
 
         auto& entries = index[path];
         for (int src = 0; src < local_.size(); ++src) {
-            diy::BinaryBuffer bb(std::move(incoming[static_cast<std::size_t>(src)]));
-            while (!bb.exhausted()) entries.emplace_back(diy::Bounds::load(bb), src);
+            diy::BinaryBuffer in(std::move(incoming[static_cast<std::size_t>(src)]));
+            while (!in.exhausted()) entries.emplace_back(proto::read<proto::IndexBox>(in).box, src);
         }
     }
 
@@ -430,9 +389,9 @@ void DistMetadataVol::serve_loop(bool on_thread) {
         }
         // block (no spinning) until a request arrives on any connection
         std::size_t            which = 0;
-        auto st = simmpi::Comm::probe_any(comms, simmpi::any_source, rpc_request, &which);
+        auto st = simmpi::Comm::probe_any(comms, simmpi::any_source, proto::rpc_request, &which);
         std::vector<std::byte> raw;
-        comms[which]->recv(st.source, rpc_request, raw);
+        comms[which]->recv(st.source, proto::rpc_request, raw);
         if (which < serve_conns_.size())
             handle_request(which, st.source, std::move(raw));
         else if (raw.empty())
@@ -446,214 +405,26 @@ void DistMetadataVol::serve_loop(bool on_thread) {
 void DistMetadataVol::handle_request(std::size_t ci, int src, std::vector<std::byte>&& payload) {
     obs::ScopedTimerNs timer(c_t_serve_ns_);
     diy::BinaryBuffer bb{std::move(payload)};
-    const auto        op = bb.load<std::uint8_t>();
+    const auto        op = proto::op_of(bb);
 
-    switch (static_cast<Op>(op)) {
-    case Op::IntersectQuery:
-    case Op::DataQuery:
-        // query hot path: answered from a pinned MVCC snapshot, no
-        // serve-mutex acquisition (the serve-lock-after-pin lint enforces
-        // this under L5_CHECK)
-        handle_read_request(ci, src, std::move(bb), op);
-        break;
-    default:
-        // control path: mutates publish/teardown state under mutex_
-        // (recursive, so the synchronous serve paths that already hold it
-        // re-enter freely)
-        handle_control_request(ci, src, std::move(bb), op);
-        break;
-    }
-}
+    // query hot path: answered from a pinned MVCC snapshot, no
+    // serve-mutex acquisition (the serve-lock-after-pin lint enforces
+    // this under L5_CHECK)
+    if (op == proto::Op::IntersectQuery)
+        return handle_read_request<proto::IntersectQuery>(ci, src, std::move(bb));
+    if (op == proto::Op::DataQuery)
+        return handle_read_request<proto::DataQuery>(ci, src, std::move(bb));
 
-void DistMetadataVol::handle_read_request(std::size_t ci, int src, diy::BinaryBuffer&& bb,
-                                          std::uint8_t op) {
-    const auto& ic     = serve_conns_[ci].ic;
-    const auto  req_id = bb.load<std::uint64_t>();
-    std::string name, dset;
-    bb.load(name);
-    bb.load(dset);
-    const auto version = bb.load<std::uint64_t>();
-
-    // pin the exact version the consumer opened: a rewrite racing this
-    // query supersedes the current snapshot but cannot free the pinned
-    // one. Fall back to the current version when the named one is
-    // already gone (possible only if the consumer broke round/step-pin
-    // discipline — the plain current read is still self-consistent).
-    auto snap = snapshots_.pin(name, version);
-    if (!snap && version != 0) {
-        // the named version may not exist HERE yet: the consumer's
-        // metadata came from a peer rank that already published it while
-        // this rank is one close behind. Serving current instead would
-        // hand out a torn (mixed-version) read across producer ranks —
-        // park the request and replay it after this rank's next publish.
-        auto cur = snapshots_.pin(name);
-        if (!cur || cur->version() < version) {
-            cur.release();
-            // park under the vol mutex and RE-CHECK there: a publish
-            // installs the snapshot and fires the deferred-retry nudge
-            // while holding this mutex, so without the re-check the
-            // publish could slip between our lock-free miss and the
-            // park — a lost wakeup that leaves the request parked
-            // forever (no later publish would replay it)
-            Guard lock(local_.scheduler(), mutex_, "serve/defer-read");
-            snap = snapshots_.pin(name, version);
-            if (!snap) {
-                cur = snapshots_.pin(name);
-                if (!cur || cur->version() < version) {
-                    cur.release();
-                    park_locked(ci, src, std::move(bb), "serve/defer-read");
-                    return;
-                }
-                snap = std::move(cur); // version GC'd past: current is consistent
-            }
-        } else {
-            snap = std::move(cur); // version GC'd past: current is consistent
-        }
-    }
-    if (!snap) snap = snapshots_.pin(name);
-
-    if (static_cast<Op>(op) == Op::IntersectQuery) {
-        obs::Span span("serve.intersect", "lowfive",
-                       {{"src", static_cast<std::uint64_t>(src), nullptr}});
-        diy::Bounds qbb = diy::Bounds::load(bb);
-
-        std::vector<std::int32_t> ranks;
-        if (snap) {
-            mvcc::ReadSection section;
-            if (const auto* entries = snap->index_for(dset))
-                for (const auto& [ibb, rank] : *entries)
-                    if (diy::intersects(ibb, qbb)) ranks.push_back(rank);
-        }
-        std::sort(ranks.begin(), ranks.end());
-        ranks.erase(std::unique(ranks.begin(), ranks.end()), ranks.end());
-
-        diy::BinaryBuffer reply;
-        reply.save(req_id);
-        reply.save(ranks);
-        send_buffer(ic, src, rpc_reply, std::move(reply));
-        return;
-    }
-
-    {
-        obs::Span span("serve.data", "lowfive",
-                       {{"src", static_cast<std::uint64_t>(src), nullptr}});
-        Dataspace  fs     = Dataspace::load(bb);
-        const auto accept = bb.load<std::uint8_t>(); // consumer accepts codec frames
-
-        if (!snap) throw Error("lowfive: data query for unknown file '" + name + "'");
-        mvcc::ReadSection section;
-        Object*           node = snap->root()->resolve(dset);
-        if (!node || node->kind != ObjectKind::Dataset)
-            throw Error("lowfive: data query for unknown dataset '" + dset + "'");
-        const std::size_t elem = node->type.size();
-
-        // intersect each piece with the query exactly once, keeping the
-        // per-piece sub-selection for the extraction below
-        std::vector<std::pair<const h5::DataPiece*, Dataspace>> hits;
-        for (const auto& piece : node->pieces) {
-            auto common = intersect_selections(piece.filespace, fs);
-            if (common.empty()) continue;
-            Dataspace sub(node->space.dims());
-            sub.select_none();
-            for (const auto& b : common) sub.add_box(b);
-            hits.emplace_back(&piece, std::move(sub));
-        }
-
-        diy::BinaryBuffer reply;
-        reply.save(req_id);
-        reply.save<std::uint64_t>(hits.size());
-        std::uint64_t          served = 0;
-        std::uint64_t          aliased = 0; // selected bytes of the aliased pieces
-        std::vector<std::byte> scratch; // reused staging for pieces we encode
-        // pieces served without any copy: the reply header records u8 2
-        // plus the piece's filespace, and the piece's whole packed buffer
-        // follows as its own aliased message on the same (src, tag)
-        // stream — the mailbox's non-overtaking guarantee keeps header
-        // and payloads paired. The consumer copies `sub` straight out of
-        // it: the one copy of the serve → query path.
-        std::vector<simmpi::SharedPayload> zc;
-        for (auto& [piece, sub] : hits) {
-            sub.save(reply);
-            const std::uint64_t nbytes = sub.npoints() * elem;
-            reply.save(nbytes);
-            const bool compress_this = accept && nbytes >= compress_min_bytes_;
-            // the piece's own packed copy of its whole selection, if any
-            const std::vector<std::byte>* packed = piece->packed_bytes();
-            const bool whole = sub.npoints() == piece->filespace.npoints(); // sub ⊆ piece
-            if (packed && !compress_this && nbytes >= zero_copy_min_bytes_) {
-                reply.save<std::uint8_t>(2);
-                piece->filespace.save(reply);
-                // owning alias: the payload shares the snapshot's
-                // lifetime, so the piece's bytes stay valid on the wire
-                // even if the version is superseded and GC'd while the
-                // message is still in flight (a plain recv on the other
-                // side copies instead of moving them out from under us)
-                zc.emplace_back(simmpi::SharedPayload(snap.shared(), packed));
-                aliased += nbytes;
-                c_zero_copy_pieces_.inc();
-            } else if (compress_this) {
-                // piece payload goes out as a codec frame: u8 1, u64
-                // frame size (patched once known), then the frame. When
-                // the query wants the whole piece and it owns a packed
-                // copy, compress straight from it — no extract copy.
-                const std::byte* enc_src = nullptr;
-                if (packed && whole) {
-                    enc_src = packed->data();
-                } else {
-                    scratch.clear();
-                    piece->extract(sub, elem, scratch);
-                    enc_src = scratch.data();
-                }
-                reply.save<std::uint8_t>(1);
-                auto&             raw   = reply.mutable_data();
-                const std::size_t szoff = raw.size();
-                reply.save<std::uint64_t>(0);
-                std::uint64_t fsz;
-                {
-                    obs::ScopedTimerNs enc_timer(c_t_encode_ns_);
-                    fsz = codec::compress_frame(enc_src, nbytes, elem, raw);
-                }
-                std::memcpy(raw.data() + szoff, &fsz, 8);
-                c_compressed_pieces_.inc();
-            } else {
-                // extract straight into the reply buffer: no intermediate copy
-                reply.save<std::uint8_t>(0);
-                piece->extract(sub, elem, reply.mutable_data());
-            }
-            served += nbytes;
-        }
-        // an aliased piece costs the wire only the bytes the consumer
-        // selects from it (what a derived-datatype send would move), not
-        // the whole piece the alias happens to span
-        const std::uint64_t wire = reply.size() + aliased;
-        c_bytes_served_.add(served);
-        c_bytes_wire_.add(wire);
-        span.end_arg("bytes", served);
-        span.end_arg("wire_bytes", wire);
-        // the modelled interconnect charges post-codec bytes: compression
-        // buys wall-clock exactly when the wire is the bottleneck
-        codec::WireModel::instance().charge(wire);
-        send_buffer(ic, src, rpc_data_reply, std::move(reply));
-        // zero-copy payloads follow the header in piece order
-        for (auto& p : zc) ic.send_shared(src, rpc_data_reply, std::move(p));
-    }
-}
-
-void DistMetadataVol::handle_control_request(std::size_t ci, int src, diy::BinaryBuffer&& bb,
-                                             std::uint8_t op) {
+    // control path: mutates publish/teardown state under mutex_
+    // (recursive, so the synchronous serve paths that already hold it
+    // re-enter freely)
     const auto& ic = serve_conns_[ci].ic;
     Guard       lock(local_.scheduler(), mutex_, "serve/control");
-
-    switch (static_cast<Op>(op)) {
-    case Op::IntersectQuery:
-    case Op::DataQuery:
-        throw Error("lowfive: query op routed to the control handler");
-    case Op::Done: {
+    switch (op) {
+    case proto::Op::Done: {
         obs::instant("serve.done", "lowfive",
                      {{"src", static_cast<std::uint64_t>(src), nullptr}});
-        std::string name;
-        bb.load(name);
-        const auto version = bb.load<std::uint64_t>();
+        const auto done = proto::decode<proto::Done>(bb);
         L5_SHARED_WRITE(this, "dones_", "serve/done");
         ++dones_received_;
         // release this (connection, rank, file)'s round pins for every
@@ -664,23 +435,22 @@ void DistMetadataVol::handle_control_request(std::size_t ci, int src, diy::Binar
         // consumer outpacing the producer), so its pin stays until a
         // later Done names a newer version (or teardown clears it).
         L5_SHARED_WRITE(this, "round_pins_", "serve/done");
-        if (auto rit = round_pins_.find({ci, src, name}); rit != round_pins_.end()) {
+        if (auto rit = round_pins_.find({ci, src, done.name}); rit != round_pins_.end()) {
             auto& pins = rit->second;
             pins.erase(std::remove_if(pins.begin(), pins.end(),
                                       [&](const mvcc::SnapshotPin& p) {
-                                          return p && p->version() < version;
+                                          return p && p->version() < done.version;
                                       }),
                        pins.end());
             if (pins.empty()) round_pins_.erase(rit);
         }
         break;
     }
-    case Op::MetadataQuery: {
-        obs::Span   span("serve.metadata", "lowfive",
-                         {{"src", static_cast<std::uint64_t>(src), nullptr}});
-        std::string name;
-        bb.load(name);
-        auto it   = files_.find(name);
+    case proto::Op::MetadataQuery: {
+        obs::Span  span("serve.metadata", "lowfive",
+                        {{"src", static_cast<std::uint64_t>(src), nullptr}});
+        const auto [name] = proto::decode<proto::MetadataQuery>(bb);
+        auto       it     = files_.find(name);
         auto snap = snapshots_.pin(name);
         if (it == files_.end() || !it->second.root || it->second.writable || !snap) {
             // consumer ran ahead of the producer: retry after next close
@@ -689,22 +459,16 @@ void DistMetadataVol::handle_control_request(std::size_t ci, int src, diy::Binar
         }
         // reply from the snapshot so version and skeleton are one
         // consistent publish even if a rewrite is racing us
-        diy::BinaryBuffer reply;
-        reply.save(snap->version());
-        snap->root()->save_skeleton(reply);
-        send_buffer(ic, src, rpc_reply, std::move(reply));
+        proto::send<proto::MetadataReply>(ic, src, snap->version(), *snap->root());
         break;
     }
-    case Op::StepNext: {
-        std::string base;
-        bb.load(base);
-        const auto min_raw = bb.load<std::uint64_t>();
-        const auto latest  = bb.load<std::uint8_t>();
+    case proto::Op::StepNext: {
+        const auto [base, min_raw, latest] = proto::decode<proto::StepNext>(bb);
 
         L5_SHARED_READ(this, "streams_", "serve/step_next");
         auto                        sit = streams_.find(base);
         stream::StepWindow::Acquire r; // default: retry_later
-        if (sit != streams_.end()) r = sit->second.acquire(stream::StepId(min_raw), latest != 0);
+        if (sit != streams_.end()) r = sit->second.acquire(stream::StepId(min_raw), latest);
         if (r.status == stream::StepWindow::Acquire::Status::retry_later) {
             // nothing published past `min` yet and the stream is still
             // open (or not registered yet): park the request; replayed
@@ -722,16 +486,13 @@ void DistMetadataVol::handle_control_request(std::size_t ci, int src, diy::Binar
         obs::instant("serve.step_next", "lowfive",
                      {{"src", static_cast<std::uint64_t>(src), nullptr},
                       {"step", r.step.valid() ? r.step.value() : 0, nullptr}});
-        diy::BinaryBuffer reply;
-        reply.save<std::uint8_t>(r.status == stream::StepWindow::Acquire::Status::eos ? 1 : 0);
-        reply.save<std::uint64_t>(r.step.valid() ? r.step.value() : 0);
-        send_buffer(ic, src, rpc_reply, std::move(reply));
+        proto::send<proto::StepGrant>(ic, src,
+                                      r.status == stream::StepWindow::Acquire::Status::eos,
+                                      r.step.valid() ? r.step.value() : 0);
         break;
     }
-    case Op::StepPin: {
-        std::string base;
-        bb.load(base);
-        const auto sv  = bb.load<std::uint64_t>();
+    case proto::Op::StepPin: {
+        const auto [base, sv] = proto::decode<proto::StepPin>(bb);
         L5_SHARED_READ(this, "streams_", "serve/step_pin");
         auto       sit = streams_.find(base);
         const bool ok  = sit != streams_.end() && sit->second.pin(stream::StepId(sv));
@@ -740,18 +501,14 @@ void DistMetadataVol::handle_control_request(std::size_t ci, int src, diy::Binar
             L5_SHARED_WRITE(this, "step_pins_", "serve/step_pin");
             if (auto pin = snapshots_.pin(sname)) step_pins_[sname].push_back(std::move(pin));
         }
-        diy::BinaryBuffer reply;
-        // 2 = gone: this rank's window raced ahead and already evicted
-        // the step — the consumer rolls its pins back and retries higher
-        reply.save<std::uint8_t>(ok ? 0 : 2);
-        send_buffer(ic, src, rpc_reply, std::move(reply));
+        // gone: this rank's window raced ahead and already evicted the
+        // step — the consumer rolls its pins back and retries higher
+        proto::send<proto::PinReply>(ic, src,
+                                     ok ? proto::PinStatus::Pinned : proto::PinStatus::Gone);
         break;
     }
-    case Op::StepRelease: {
-        std::string base;
-        bb.load(base);
-        const auto sv       = bb.load<std::uint64_t>();
-        const auto rollback = bb.load<std::uint8_t>(); // pin rollback, not a drain
+    case proto::Op::StepRelease: {
+        const auto [base, sv, rollback] = proto::decode<proto::StepRelease>(bb);
         L5_SHARED_READ(this, "streams_", "serve/step_release");
         auto       sit      = streams_.find(base);
         if (sit == streams_.end())
@@ -776,9 +533,8 @@ void DistMetadataVol::handle_control_request(std::size_t ci, int src, diy::Binar
         stream_room_locked(base, sit->second);
         break;
     }
-    case Op::StreamDone: {
-        std::string base;
-        bb.load(base);
+    case proto::Op::StreamDone: {
+        const auto [base] = proto::decode<proto::StreamDone>(bb);
         L5_SHARED_READ(this, "streams_", "serve/stream_done");
         auto sit = streams_.find(base);
         if (sit == streams_.end()) {
@@ -792,8 +548,161 @@ void DistMetadataVol::handle_control_request(std::size_t ci, int src, diy::Binar
         break;
     }
     default:
-        // a dropped Done would stall the round: fail loudly instead
-        throw Error("lowfive: unknown request op " + std::to_string(op));
+        break; // the queries, answered above
+    }
+}
+
+template <class Query>
+void DistMetadataVol::handle_read_request(std::size_t ci, int src, diy::BinaryBuffer&& bb) {
+    const auto& ic = serve_conns_[ci].ic;
+    const auto  q  = proto::decode<Query>(bb);
+
+    // pin the exact version the consumer opened: a rewrite racing this
+    // query supersedes the current snapshot but cannot free the pinned
+    // one. Fall back to the current version when the named one is
+    // already gone (possible only if the consumer broke round/step-pin
+    // discipline — the plain current read is still self-consistent).
+    auto snap = snapshots_.pin(q.name, q.version);
+    if (!snap && q.version != 0) {
+        // the named version may not exist HERE yet: the consumer's
+        // metadata came from a peer rank that already published it while
+        // this rank is one close behind. Serving current instead would
+        // hand out a torn (mixed-version) read across producer ranks —
+        // park the request and replay it after this rank's next publish.
+        auto cur = snapshots_.pin(q.name);
+        if (!cur || cur->version() < q.version) {
+            cur.release();
+            // park under the vol mutex and RE-CHECK there: a publish
+            // installs the snapshot and fires the deferred-retry nudge
+            // while holding this mutex, so without the re-check the
+            // publish could slip between our lock-free miss and the
+            // park — a lost wakeup that leaves the request parked
+            // forever (no later publish would replay it)
+            Guard lock(local_.scheduler(), mutex_, "serve/defer-read");
+            snap = snapshots_.pin(q.name, q.version);
+            if (!snap) {
+                cur = snapshots_.pin(q.name);
+                if (!cur || cur->version() < q.version) {
+                    cur.release();
+                    park_locked(ci, src, std::move(bb), "serve/defer-read");
+                    return;
+                }
+                snap = std::move(cur); // version GC'd past: current is consistent
+            }
+        } else {
+            snap = std::move(cur); // version GC'd past: current is consistent
+        }
+    }
+    if (!snap) snap = snapshots_.pin(q.name);
+
+    if constexpr (std::is_same_v<Query, proto::IntersectQuery>) {
+        obs::Span span("serve.intersect", "lowfive",
+                       {{"src", static_cast<std::uint64_t>(src), nullptr}});
+        std::vector<std::int32_t> ranks;
+        if (snap) {
+            mvcc::ReadSection section;
+            if (const auto* entries = snap->index_for(q.dset))
+                for (const auto& [ibb, rank] : *entries)
+                    if (diy::intersects(ibb, q.box)) ranks.push_back(rank);
+        }
+        std::sort(ranks.begin(), ranks.end());
+        ranks.erase(std::unique(ranks.begin(), ranks.end()), ranks.end());
+        proto::send<proto::IntersectReply>(ic, src, q.id, ranks);
+    } else {
+        obs::Span span("serve.data", "lowfive",
+                       {{"src", static_cast<std::uint64_t>(src), nullptr}});
+        if (!snap) throw Error("lowfive: data query for unknown file '" + q.name + "'");
+        mvcc::ReadSection section;
+        Object*           node = snap->root()->resolve(q.dset);
+        if (!node || node->kind != ObjectKind::Dataset)
+            throw Error("lowfive: data query for unknown dataset '" + q.dset + "'");
+        const std::size_t elem = node->type.size();
+
+        // intersect each piece with the query exactly once, keeping the
+        // per-piece sub-selection for the extraction below
+        std::vector<std::pair<const h5::DataPiece*, Dataspace>> hits;
+        for (const auto& piece : node->pieces) {
+            auto common = intersect_selections(piece.filespace, q.space);
+            if (common.empty()) continue;
+            Dataspace sub(node->space.dims());
+            sub.select_none();
+            for (const auto& b : common) sub.add_box(b);
+            hits.emplace_back(&piece, std::move(sub));
+        }
+
+        diy::BinaryBuffer reply;
+        proto::append<proto::DataReply>(reply, q.id, hits.size());
+        std::uint64_t          served = 0;
+        std::uint64_t          aliased = 0; // selected bytes of the aliased pieces
+        std::vector<std::byte> scratch; // reused staging for pieces we encode
+        // pieces served without any copy (Enc::Alias): the piece's whole
+        // packed buffer follows the reply as its own aliased message on
+        // the same (src, tag) stream — the mailbox's non-overtaking
+        // guarantee keeps header and payloads paired. The consumer copies
+        // `sub` straight out of it: the one copy of the serve → query path.
+        std::vector<simmpi::SharedPayload> zc;
+        for (auto& [piece, sub] : hits) {
+            const std::uint64_t nbytes = sub.npoints() * elem;
+            const bool compress_this = q.accept_codec && nbytes >= compress_min_bytes_;
+            // the piece's own packed copy of its whole selection, if any
+            const std::vector<std::byte>* packed = piece->packed_bytes();
+            const bool whole = sub.npoints() == piece->filespace.npoints(); // sub ⊆ piece
+            if (packed && !compress_this && nbytes >= zero_copy_min_bytes_) {
+                proto::append<proto::Piece>(reply, sub, nbytes, proto::Enc::Alias);
+                proto::append<proto::AliasTail>(reply, piece->filespace);
+                // owning alias: the payload shares the snapshot's
+                // lifetime, so the piece's bytes stay valid on the wire
+                // even if the version is superseded and GC'd while the
+                // message is still in flight (a plain recv on the other
+                // side copies instead of moving them out from under us)
+                zc.emplace_back(simmpi::SharedPayload(snap.shared(), packed));
+                aliased += nbytes;
+                c_zero_copy_pieces_.inc();
+            } else if (compress_this) {
+                // piece payload goes out as a codec frame, its size
+                // patched once known. When the query wants the whole
+                // piece and it owns a packed copy, compress straight
+                // from it — no extract copy.
+                const std::byte* enc_src = nullptr;
+                if (packed && whole) {
+                    enc_src = packed->data();
+                } else {
+                    scratch.clear();
+                    piece->extract(sub, elem, scratch);
+                    enc_src = scratch.data();
+                }
+                proto::append<proto::Piece>(reply, sub, nbytes, proto::Enc::Frame);
+                auto&             raw   = reply.mutable_data();
+                const std::size_t szoff = raw.size();
+                proto::append<proto::FrameTail>(reply, std::uint64_t{0});
+                std::uint64_t fsz;
+                {
+                    obs::ScopedTimerNs enc_timer(c_t_encode_ns_);
+                    fsz = codec::compress_frame(enc_src, nbytes, elem, raw);
+                }
+                proto::set_frame_size(raw, szoff, fsz);
+                c_compressed_pieces_.inc();
+            } else {
+                // extract straight into the reply buffer: no intermediate copy
+                proto::append<proto::Piece>(reply, sub, nbytes, proto::Enc::Raw);
+                piece->extract(sub, elem, reply.mutable_data());
+            }
+            served += nbytes;
+        }
+        // an aliased piece costs the wire only the bytes the consumer
+        // selects from it (what a derived-datatype send would move), not
+        // the whole piece the alias happens to span
+        const std::uint64_t wire = reply.size() + aliased;
+        c_bytes_served_.add(served);
+        c_bytes_wire_.add(wire);
+        span.end_arg("bytes", served);
+        span.end_arg("wire_bytes", wire);
+        // the modelled interconnect charges post-codec bytes: compression
+        // buys wall-clock exactly when the wire is the bottleneck
+        codec::WireModel::instance().charge(wire);
+        ic.send(src, proto::rpc_data_reply, std::move(reply).take());
+        // zero-copy payloads follow the header in piece order
+        for (auto& p : zc) ic.send_shared(src, proto::rpc_data_reply, std::move(p));
     }
 }
 
@@ -824,7 +733,7 @@ void DistMetadataVol::schedule_deferred_retry_locked() {
         // shutdown signal). The per-(source, tag) FIFO guarantee means
         // every nudge is consumed before a later shutdown send.
         const std::byte nudge{1};
-        local_.send(local_.rank(), rpc_request, &nudge, 1);
+        local_.send(local_.rank(), proto::rpc_request, &nudge, 1);
     } else {
         retry_deferred();
     }
@@ -908,28 +817,17 @@ std::optional<stream::StepId> DistMetadataVol::stream_acquire(const std::string&
     std::uint64_t raw = 0; // StepId wire encoding: 0 = end of stream
     if (local_.rank() == 0) {
         for (;;) {
-            diy::BinaryBuffer req;
-            req.save(static_cast<std::uint8_t>(Op::StepNext));
-            req.save(name);
-            req.save<std::uint64_t>(min.valid() ? min.value() : 0);
-            req.save<std::uint8_t>(latest ? 1 : 0);
-            send_buffer(conn.ic, 0, rpc_request, std::move(req));
-            auto       reply = recv_buffer(conn.ic, 0, rpc_reply);
-            const auto kind  = reply.load<std::uint8_t>(); // 0 granted, 1 eos
-            const auto sv    = reply.load<std::uint64_t>();
-            if (kind == 1) break; // raw stays 0: eos
+            proto::send<proto::StepNext>(conn.ic, 0, name, min.valid() ? min.value() : 0, latest);
+            const auto grant = proto::recv<proto::StepGrant>(conn.ic, 0);
+            if (grant.eos) break; // raw stays 0
 
             // the coordinator's grant pinned rank 0; pin everywhere else
-            const stream::StepId step(sv);
+            const stream::StepId step(grant.step);
             int pinned_until = 1; // producer ranks [0, pinned_until) hold a pin
             for (int p = 1; p < npeers; ++p) {
-                diy::BinaryBuffer pin;
-                pin.save(static_cast<std::uint8_t>(Op::StepPin));
-                pin.save(name);
-                pin.save<std::uint64_t>(step.value());
-                send_buffer(conn.ic, p, rpc_request, std::move(pin));
-                auto pr = recv_buffer(conn.ic, p, rpc_reply);
-                if (pr.load<std::uint8_t>() != 0) break; // gone on rank p
+                proto::send<proto::StepPin>(conn.ic, p, name, step.value());
+                if (proto::recv<proto::PinReply>(conn.ic, p).status != proto::PinStatus::Pinned)
+                    break; // gone on rank p
                 pinned_until = p + 1;
             }
             if (pinned_until == npeers) {
@@ -939,9 +837,9 @@ std::optional<stream::StepId> DistMetadataVol::stream_acquire(const std::string&
             // some rank already evicted the step: roll the pins back and
             // retry strictly past it (possible only under drop/latest)
             c_step_pin_rollbacks_.inc();
-            const auto rel = step_release(name, step, /*rollback=*/true);
+            const auto rel = proto::encode<proto::StepRelease>(name, step.value(), true);
             for (int p = 0; p < pinned_until; ++p)
-                conn.ic.send(p, rpc_request, rel.data(), rel.size());
+                conn.ic.send(p, proto::rpc_request, rel.data(), rel.size());
             min = step.next();
         }
         if (raw != 0) {
@@ -964,8 +862,8 @@ void DistMetadataVol::stream_release(const std::string& name, stream::StepId ste
     // drops the pins that keep the step alive on the producers
     local_.barrier();
     if (local_.rank() == 0) {
-        fan_out(consume_conns_[static_cast<std::size_t>(ci)].ic, rpc_request,
-                step_release(name, step, /*rollback=*/false));
+        fan_out<proto::StepRelease>(consume_conns_[static_cast<std::size_t>(ci)].ic, name,
+                                    step.value(), false);
         local_.check_step("release", name, step.value());
     }
     // the step snapshot is gone for good: its cached producer sets die
@@ -978,11 +876,7 @@ void DistMetadataVol::stream_unsubscribe(const std::string& name) {
     if (ci < 0) throw Error("lowfive: no producer connection for stream '" + name + "'");
     local_.barrier(); // the whole task is done with the stream
     if (local_.rank() == 0) {
-        diy::BinaryBuffer bb;
-        bb.save(static_cast<std::uint8_t>(Op::StreamDone));
-        bb.save(name);
-        fan_out(consume_conns_[static_cast<std::size_t>(ci)].ic, rpc_request,
-                std::move(bb).take());
+        fan_out<proto::StreamDone>(consume_conns_[static_cast<std::size_t>(ci)].ic, name);
     }
 }
 
@@ -1106,12 +1000,8 @@ void DistMetadataVol::after_file_close(FileEntry& entry) {
         // Done names the version this round opened: the producers keep
         // that snapshot (and any later one) pinned, releasing only the
         // strictly older versions this rank can never read again.
-        diy::BinaryBuffer bb;
-        bb.save(static_cast<std::uint8_t>(Op::Done));
-        bb.save(entry.name);
-        bb.save(entry.version);
-        fan_out(consume_conns_[static_cast<std::size_t>(entry.conn)].ic, rpc_request,
-                std::move(bb).take());
+        fan_out<proto::Done>(consume_conns_[static_cast<std::size_t>(entry.conn)].ic, entry.name,
+                             entry.version);
         return;
     }
 
@@ -1159,9 +1049,7 @@ void DistMetadataVol::after_file_close(FileEntry& entry) {
     } else if (local_.rank() == 0) {
         // passthru-only file: physical file is complete (collective close
         // barriered); notify consumers it is ready to be opened
-        diy::BinaryBuffer bb;
-        bb.save(entry.name);
-        for (auto ci : matching) fan_out(serve_conns_[ci].ic, rpc_ready, bb.data());
+        for (auto ci : matching) fan_out<proto::FileReady>(serve_conns_[ci].ic, entry.name);
     }
 }
 
@@ -1184,9 +1072,7 @@ void* DistMetadataVol::file_open(const std::string& name) {
     if (!matches_file(memory_, stream::base_name(name))) {
         // file mode: wait for the producer's ready notification, then do a
         // physical open
-        auto        bb = recv_buffer(conn.ic, 0, rpc_ready);
-        std::string ready_name;
-        bb.load(ready_name);
+        const auto [ready_name] = proto::recv<proto::FileReady>(conn.ic, 0);
         if (ready_name != name)
             throw Error("lowfive: out-of-order file-ready: expected '" + name + "', got '"
                         + ready_name + "'");
@@ -1196,20 +1082,15 @@ void* DistMetadataVol::file_open(const std::string& name) {
 
     // in-situ: fetch the metadata skeleton from a producer rank
     const int target = local_.rank() % conn.ic.peer_size();
-    {
-        diy::BinaryBuffer bb;
-        bb.save(static_cast<std::uint8_t>(Op::MetadataQuery));
-        bb.save(name);
-        send_buffer(conn.ic, target, rpc_request, std::move(bb));
-    }
-    auto reply = recv_buffer(conn.ic, target, rpc_reply);
+    proto::send<proto::MetadataQuery>(conn.ic, target, name);
+    auto reply = proto::recv<proto::MetadataReply>(conn.ic, target);
 
     FileEntry entry;
     entry.name    = name;
     entry.remote  = true;
     entry.conn    = ci;
-    entry.version = reply.load<std::uint64_t>();
-    entry.root    = Object::load_skeleton(reply);
+    entry.version = reply.version;
+    entry.root    = std::move(reply.root);
     // eager cache GC: opening a newer publish version supersedes every
     // cached producer set of the old one — evict them now so a long
     // rewrite sequence cannot accumulate dead entries
@@ -1256,11 +1137,11 @@ void DistMetadataVol::remote_dataset_read(FileEntry& f, Object* node, const Data
     bool                      cached = false;
     FileCache*                fc     = nullptr;
     if (query_cache_) {
-        diy::BinaryBuffer kb;
-        bb.save(kb);
-        key = dset;
+        const auto corner = static_cast<std::size_t>(bb.dim) * sizeof(std::int64_t);
+        key               = dset;
         key.push_back('\0');
-        key.append(reinterpret_cast<const char*>(kb.data().data()), kb.size());
+        key.append(reinterpret_cast<const char*>(bb.min.data()), corner);
+        key.append(reinterpret_cast<const char*>(bb.max.data()), corner);
         fc = &producer_cache_[f.name];
         if (fc->version != f.version) {
             fc->sets.clear();
@@ -1280,28 +1161,18 @@ void DistMetadataVol::remote_dataset_read(FileEntry& f, Object* node, const Data
 
     // negotiate wire compression per (file, dataset): the request
     // advertises whether this consumer accepts codec frames in the reply
-    const std::uint8_t accept_codec = matches(compress_, stream::base_name(f.name), dset) ? 1 : 0;
+    const bool accept_codec = matches(compress_, stream::base_name(f.name), dset);
 
     // one request id per read, encoded once per request kind; at most
-    // `window` intersect and `window` data requests are out at a time
-    const std::size_t   window = pipelining_ ? SIZE_MAX : 1;
-    const std::uint64_t id     = next_req_id_++;
-    auto                request = [&](Op op) {
-        diy::BinaryBuffer req;
-        req.save(static_cast<std::uint8_t>(op));
-        req.save(id);
-        req.save(f.name);
-        req.save(dset);
-        // the version this consumer opened: the producer pins exactly
-        // that snapshot, so the reply is byte-identical to the opened
-        // file even while a rewrite is being published
-        req.save(f.version);
-        return req;
-    };
-    auto dq = request(Op::DataQuery);
-    filespace.save(dq);
-    dq.save(accept_codec);
-    Flight data{conn.ic, rpc_data_reply, window, std::move(dq).take(), c_data_queries_, {}, {}};
+    // `window` intersect and `window` data requests are out at a time.
+    // Both name the version this consumer opened, so the reply is
+    // byte-identical to the opened file even during a rewrite.
+    const std::size_t                window = pipelining_ ? SIZE_MAX : 1;
+    const std::uint64_t              id     = next_req_id_++;
+    Flight<proto::DataReply>         data{conn.ic, window,
+                                  proto::encode<proto::DataQuery>(id, f.name, dset, f.version,
+                                                                  filespace, accept_codec),
+                                  c_data_queries_, {}, {}};
 
     if (cached) {
         // cache hit: skip the intersect round entirely
@@ -1310,9 +1181,9 @@ void DistMetadataVol::remote_dataset_read(FileEntry& f, Object* node, const Data
     } else {
         obs::ScopedTimerNs i_timer(c_t_intersect_ns_);
         obs::Span          i_span("query.intersect", "lowfive");
-        auto               iq = request(Op::IntersectQuery);
-        bb.save(iq);
-        Flight isect{conn.ic, rpc_reply, window, std::move(iq).take(), c_intersect_queries_, {}, {}};
+        Flight<proto::IntersectReply> isect{
+            conn.ic, window, proto::encode<proto::IntersectQuery>(id, f.name, dset, f.version, bb),
+            c_intersect_queries_, {}, {}};
         for (int p : decomp.intersecting_blocks(bb)) isect.queued.push_back(p);
         isect.pump();
         // drain replies in arrival order (they may complete out of rank
@@ -1320,11 +1191,11 @@ void DistMetadataVol::remote_dataset_read(FileEntry& f, Object* node, const Data
         // producer, overlapping with the rest of the intersect round
         std::set<std::int32_t> seen;
         while (!isect.inflight.empty()) {
-            int                       from  = -1;
-            auto                      reply = isect.next(id, from);
-            std::vector<std::int32_t> ranks;
-            reply.load(ranks);
-            for (auto r : ranks)
+            int               from = -1;
+            diy::BinaryBuffer in;
+            const auto        reply = isect.next(id, in, from);
+            proto::expect_end(in);
+            for (auto r : reply.ranks)
                 if (seen.insert(r).second) data.queued.push_back(r);
             data.pump();
         }
@@ -1356,7 +1227,7 @@ void DistMetadataVol::remote_dataset_read(FileEntry& f, Object* node, const Data
     std::byte* scatter_dst = direct ? direct : packed.data();
 
     // one received piece: its sub-selection and where its bytes live.
-    // Aliased (enc 2) pieces point at the producer's whole packed piece
+    // Aliased (Enc::Alias) pieces point at the producer's whole packed piece
     // and carry its selection; every other encoding is packed in sub's
     // own order. Retained for the direct path's holes fallback, with the
     // bytes kept alive below (reply buffers, per-piece decode buffers,
@@ -1382,27 +1253,26 @@ void DistMetadataVol::remote_dataset_read(FileEntry& f, Object* node, const Data
     // nbytes, so zero-filling first would only add page traffic)
     std::unique_ptr<std::byte[]> decoded;
     std::size_t                  decoded_cap = 0;
-    auto scatter_reply = [&](diy::BinaryBuffer& reply, int from) {
-        auto npieces = reply.load<std::uint64_t>();
+    auto scatter_reply = [&](diy::BinaryBuffer& reply, std::uint64_t npieces, int from) {
         for (std::uint64_t k = 0; k < npieces; ++k) {
-            PieceRec   rec{Dataspace::load(reply), std::nullopt, nullptr};
-            const auto nbytes = reply.load<std::uint64_t>();
-            const auto enc    = reply.load<std::uint8_t>();
+            auto       head   = proto::read<proto::Piece>(reply);
+            const auto nbytes = head.nbytes;
+            PieceRec   rec{std::move(head.sub), std::nullopt, nullptr};
             if (nbytes != rec.sub.npoints() * elem)
                 throw Error("lowfive: data reply piece size does not match its selection");
-            if (enc == 2) {
+            if (head.enc == proto::Enc::Alias) {
                 // aliased piece: the producer's whole packed piece follows
                 // the header as its own message on the same (src, tag)
                 // stream; copy sub straight out of it below
-                rec.piece = Dataspace::load(reply);
+                rec.piece = proto::read<proto::AliasTail>(reply).piece;
                 simmpi::SharedPayload payload;
-                auto st = conn.ic.recv_shared(from, rpc_data_reply, payload);
+                auto st = conn.ic.recv_shared(from, proto::rpc_data_reply, payload);
                 if (!payload || st.count != rec.piece->npoints() * elem)
                     throw Error("lowfive: zero-copy data payload has unexpected size");
                 rec.data = payload->data();
                 shared_payloads.push_back(std::move(payload));
-            } else if (enc == 1) {
-                const auto       fsz   = reply.load<std::uint64_t>();
+            } else if (head.enc == proto::Enc::Frame) {
+                const auto       fsz   = proto::read<proto::FrameTail>(reply).size;
                 const std::byte* frame = reply.skip(fsz);
                 if (codec::frame_raw_size(frame, fsz) != nbytes)
                     throw Error("lowfive: data reply frame decodes to unexpected size");
@@ -1431,12 +1301,15 @@ void DistMetadataVol::remote_dataset_read(FileEntry& f, Object* node, const Data
             }
             if (direct) recs.push_back(std::move(rec));
         }
+        proto::expect_end(reply);
     };
+    diy::BinaryBuffer reply;
     while (!data.inflight.empty()) {
-        int  from  = -1;
-        auto reply = data.next(id, from);
+        int from = -1;
         // the holes fallback may rescatter from a retained reply later
-        scatter_reply(direct ? kept_replies.emplace_back(std::move(reply)) : reply, from);
+        auto&      in   = direct ? kept_replies.emplace_back() : reply;
+        const auto head = data.next(id, in, from);
+        scatter_reply(in, head.npieces, from);
     }
     c_bytes_fetched_.add(fetched);
     d_span.end_arg("bytes", fetched);

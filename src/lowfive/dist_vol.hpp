@@ -245,13 +245,14 @@ private:
     /// thread: until the empty shutdown self-send on local_, replaying
     /// parked requests on each one-byte nudge.
     void serve_loop(bool on_thread);
-    /// Dispatch one request from serve connection `ci`: Intersect/Data
+    /// Handle one request from serve connection `ci`: Intersect/Data
     /// queries answer against a pinned snapshot with no serve-mutex
     /// acquisition; everything else (Done, MetadataQuery, stream
-    /// control) runs under mutex_. An unknown op throws.
+    /// control) runs under mutex_. Malformed bytes throw.
     void handle_request(std::size_t ci, int src, std::vector<std::byte>&& payload);
-    void handle_read_request(std::size_t ci, int src, diy::BinaryBuffer&& bb, std::uint8_t op);
-    void handle_control_request(std::size_t ci, int src, diy::BinaryBuffer&& bb, std::uint8_t op);
+    /// `Query` is proto::IntersectQuery or proto::DataQuery.
+    template <class Query>
+    void handle_read_request(std::size_t ci, int src, diy::BinaryBuffer&& bb);
     /// Park a request that cannot be answered yet, as it arrived, for
     /// retry_deferred. Requires mutex_ held.
     void park_locked(std::size_t ci, int src, diy::BinaryBuffer&& bb, const char* site);

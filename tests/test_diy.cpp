@@ -253,3 +253,35 @@ TEST(BinaryBuffer, RewindReplays) {
     bb.rewind();
     EXPECT_EQ(bb.load<int>(), 42);
 }
+
+TEST(Bounds, LoadRejectsCraftedDimensionsAndTruncatedBoxes) {
+    // `dim` indexes the fixed min/max arrays: a peer's index exchange or
+    // IntersectQuery must not choose it past max_dim (or below zero)
+    for (const std::int32_t dim : {max_dim + 1, -1}) {
+        BinaryBuffer bb;
+        bb.save(dim);
+        for (int i = 0; i < 2 * (max_dim + 1); ++i) bb.save<std::int64_t>(1);
+        EXPECT_THROW(Bounds::load(bb), DecodeError) << "dim " << dim;
+    }
+    {
+        // a 3-d box cut off after its first corner pair
+        Bounds b(3);
+        b.min = {0, 1, 2};
+        b.max = {4, 5, 6};
+        BinaryBuffer full;
+        b.save(full);
+        auto bytes = std::move(full).take();
+        bytes.resize(4 + 16);
+        BinaryBuffer bb(std::move(bytes));
+        EXPECT_THROW(Bounds::load(bb), DecodeError);
+    }
+    {
+        // max_dim itself still decodes
+        Bounds b(max_dim);
+        for (int i = 0; i < max_dim; ++i) b.max[static_cast<std::size_t>(i)] = i + 1;
+        BinaryBuffer bb;
+        b.save(bb);
+        EXPECT_EQ(Bounds::load(bb), b);
+        EXPECT_TRUE(bb.exhausted());
+    }
+}

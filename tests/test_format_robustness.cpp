@@ -104,6 +104,74 @@ TEST_F(FormatTest, GarbageMetadataOffsetFails) {
     EXPECT_THROW(File::open(path_, vol), Error);
 }
 
+TEST_F(FormatTest, GarbageMetadataSizeFails) {
+    // metadata size claims ~2^64 bytes: rejected against the file size
+    // before a buffer is sized by it
+    for (std::uintmax_t at = 20; at < 28; ++at) corrupt_at(at, 0xFF);
+    auto vol = std::make_shared<NativeVol>();
+    EXPECT_THROW(File::open(path_, vol), Error);
+}
+
+// --- crafted skeleton encodings ------------------------------------------------
+
+TEST(SkeletonDecode, UnknownKindsAndClassesThrow) {
+    Object root(ObjectKind::File, "f");
+    auto*  d = root.add_child(std::make_unique<Object>(ObjectKind::Dataset, "d"));
+    d->type  = dt::int32();
+    d->space = Dataspace::linear(4);
+    diy::BinaryBuffer good;
+    root.save_skeleton(good);
+    auto bytes = std::move(good).take();
+    {
+        auto bad = bytes;
+        bad[0]   = std::byte{3}; // no ObjectKind 3
+        diy::BinaryBuffer bb(std::move(bad));
+        EXPECT_THROW(Object::load_skeleton(bb), Error);
+    }
+    {
+        // the dataset's type class follows its kind byte, name and an
+        // empty attribute list
+        const std::size_t type_at = 1 + 8 + 1 + 8 + 8 + 1 + 8 + 1 + 8;
+        ASSERT_EQ(bytes[type_at - 8 - 1 - 8 - 1], std::byte{2}); // the Dataset kind
+        auto bad     = bytes;
+        bad[type_at] = std::byte{9}; // no TypeClass 9
+        diy::BinaryBuffer bb(std::move(bad));
+        EXPECT_THROW(Object::load_skeleton(bb), Error);
+    }
+    diy::BinaryBuffer bb(std::move(bytes));
+    EXPECT_EQ(Object::load_skeleton(bb)->resolve("d")->type, dt::int32());
+}
+
+TEST(SkeletonDecode, NestingPastTheCapThrows) {
+    // each level is a frame of the recursive decoder: a crafted deep tree
+    // must fail with a typed error, not overflow the stack
+    auto chain = [](int levels) {
+        Object  root(ObjectKind::File, "f");
+        Object* cur = &root;
+        for (int i = 0; i < levels; ++i)
+            cur = cur->add_child(std::make_unique<Object>(ObjectKind::Group, "g"));
+        diy::BinaryBuffer bb;
+        root.save_skeleton(bb);
+        return bb;
+    };
+    auto ok = chain(max_nesting);
+    EXPECT_NO_THROW(Object::load_skeleton(ok));
+    auto deep = chain(max_nesting + 1);
+    EXPECT_THROW(Object::load_skeleton(deep), Error);
+
+    auto nested = [](int levels) {
+        Datatype t = dt::int8();
+        for (int i = 0; i < levels; ++i) t = Datatype::compound(1).insert("m", 0, t);
+        diy::BinaryBuffer bb;
+        t.save(bb);
+        return bb;
+    };
+    auto ok_type = nested(max_nesting);
+    EXPECT_NO_THROW(Datatype::load(ok_type));
+    auto deep_type = nested(max_nesting + 1);
+    EXPECT_THROW(Datatype::load(deep_type), Error);
+}
+
 // --- crafted dataspace encodings ---------------------------------------------
 //
 // Dataspace::load decodes peer messages (serve requests and replies) as

@@ -43,7 +43,8 @@ std::shared_ptr<h5::Object> one_piece_tree(std::size_t bytes) {
 
 TEST(BytePool, ExactSizeTakeAfterGiveReturnsSameBuffer) {
     h5::NativeVol vol; // a live VOL keeps the pool open
-    auto          a = h5::take_piece_bytes(2 * MiB);
+    const auto    live = h5::piece_pool_stats().live;
+    auto          a    = h5::take_piece_bytes(2 * MiB);
     ASSERT_EQ(a.size(), 2 * MiB);
     const std::byte* p = a.data();
     h5::give_piece_bytes(std::move(a));
@@ -64,6 +65,8 @@ TEST(BytePool, ExactSizeTakeAfterGiveReturnsSameBuffer) {
     auto       other  = h5::take_piece_bytes(2 * MiB + 8);
     EXPECT_NE(other.data(), p);
     EXPECT_EQ(pool_misses(), misses + 1);
+    h5::give_piece_bytes(std::move(other));
+    EXPECT_EQ(h5::piece_pool_stats().live, live) << "every taken buffer went back";
 }
 
 TEST(BytePool, BuffersUnderTheFloorAreNotPooled) {
