@@ -10,11 +10,9 @@
 /// Sections:
 ///   memcpy     raw single-copy bandwidth per payload size (the baseline
 ///              the acceptance target is expressed against)
-///   sweep      end-to-end payload-size sweep, vectorized kernels; the
-///              JSON records bytes / time_query_data_ns per size and the
-///              ratio against memcpy at the largest payload
-///   kernels    naive / coalesced / vectorized ablation at the largest
-///              payload
+///   sweep      end-to-end payload-size sweep through the selection
+///              kernels; the JSON records bytes / time_query_data_ns per
+///              size and the ratio against memcpy at the largest payload
 ///   wire       compression ablation on a throttled wire (WireModel at
 ///              L5_DATAPATH_WIRE_MBPS, default 500): with the wire as the
 ///              bottleneck, spending serve CPU on the codec must win
@@ -98,8 +96,7 @@ struct EteResult {
 /// One end-to-end trial: 1 producer writes n uint64s (values = index, so
 /// the payload is compressible the way numeric HPC data is), 1 consumer
 /// reads the full array once.
-void run_ete(std::size_t bytes, KernelMode mode, bool compress, int trials, EteResult& out) {
-    set_selection_kernel_mode(mode);
+void run_ete(std::size_t bytes, bool compress, int trials, EteResult& out) {
     const std::uint64_t n = bytes / 8;
 
     for (int t = 0; t < trials; ++t) {
@@ -135,7 +132,6 @@ void run_ete(std::size_t bytes, KernelMode mode, bool compress, int trials, EteR
             },
             {Link{0, 1, "*"}}, opts);
     }
-    set_selection_kernel_mode(KernelMode::vectorized);
 }
 
 /// GB/s of the data phase: payload bytes over time_query_data_ns.
@@ -181,11 +177,11 @@ int main() {
     }
     env.set("memcpy_GBps", std::move(memcpy_tbl));
 
-    // --- end-to-end payload sweep, vectorized kernels ------------------------
+    // --- end-to-end payload sweep --------------------------------------------
     double data_largest = 0;
     for (std::size_t b : sizes) {
         EteResult r;
-        run_ete(b, KernelMode::vectorized, /*compress=*/false, trials, r);
+        run_ete(b, /*compress=*/false, trials, r);
         const double gbps = data_GBps(r, b);
         std::printf("  sweep   %6zu MiB  %7.2f GB/s data phase  (median wall %.4f s)\n", b >> 20,
                     gbps, r.median());
@@ -198,16 +194,6 @@ int main() {
                 ratio);
     env.set("uncompressed_data_vs_memcpy_ratio_largest", ratio);
 
-    // --- kernel-mode ablation at the largest payload -------------------------
-    for (auto [mode, name] : {std::pair{KernelMode::naive, "naive"},
-                              std::pair{KernelMode::coalesced, "coalesced"}}) {
-        EteResult r;
-        run_ete(sizes.back(), mode, /*compress=*/false, trials, r);
-        std::printf("  kernel  %-10s %7.2f GB/s data phase\n", name, data_GBps(r, sizes.back()));
-        benchcommon::add_scenario(
-            env, ete_scenario(std::string("kernel_") + name + "_largest", sizes.back(), r));
-    }
-
     // --- compression ablation on a throttled wire ----------------------------
     const std::size_t wire_bytes = sizes.size() > 1 ? sizes[sizes.size() - 2] : sizes.back();
     const double      mbps       = wire_mbps();
@@ -218,7 +204,7 @@ int main() {
         wm.configure(mbps);
         wm.reset_stats();
         EteResult r;
-        run_ete(wire_bytes, KernelMode::vectorized, compress, trials, r);
+        run_ete(wire_bytes, compress, trials, r);
         wm.configure(0);
         const char* label = compress ? "wire_throttled_compressed" : "wire_throttled_uncompressed";
         std::printf("  wire    %-28s median %.4f s  (%llu wire bytes last trial)\n", label,

@@ -5,13 +5,9 @@
 /// every producer.
 ///
 /// Scenarios (same run, same data):
-///   serial_uncached_naive    the pre-optimization plane: one request in
-///                            flight at a time, intersect round on every
-///                            read, per-row binary-search kernels
-///   pipelined_uncached       pipelining + vectorized kernels, cache off
-///   pipelined_cached         the full plane; repeated reads skip the
+///   pipelined_cached         the query plane; repeated reads skip the
 ///                            intersect round
-///   pipelined_cached_compressed  the full plane with wire compression
+///   pipelined_cached_compressed  the same plane with wire compression
 ///                            negotiated for every dataset (the CPU cost
 ///                            of the codec on an unthrottled wire; see
 ///                            bench_datapath for the throttled tradeoff)
@@ -79,10 +75,7 @@ diy::Bounds consumer_block(int r) {
 
 /// One trial: returns the barrier-bounded wall time of the consume phase
 /// (open + reads_per_open reads + close, overlapped with producer serving).
-double run_trial(bool pipelined, bool cached, KernelMode kernels, bool compress,
-                 ScenarioResult* stats_sink) {
-    set_selection_kernel_mode(kernels);
-
+double run_trial(bool compress, ScenarioResult* stats_sink) {
     double  seconds = 0.0;
     Options opts;
     opts.mode = workflow::Mode::in_situ();
@@ -112,8 +105,6 @@ double run_trial(bool pipelined, bool cached, KernelMode kernels, bool compress,
              }},
             {"consumer", ncons,
              [&](Context& ctx) {
-                 ctx.vol->set_pipelining(pipelined);
-                 ctx.vol->set_query_cache(cached);
                  if (compress) ctx.vol->set_compress("*", "*");
 
                  const auto mine = consumer_block(ctx.rank());
@@ -139,8 +130,6 @@ double run_trial(bool pipelined, bool cached, KernelMode kernels, bool compress,
              }},
         },
         {Link{0, 1, "*"}}, opts);
-
-    set_selection_kernel_mode(KernelMode::vectorized);
     return seconds;
 }
 
@@ -185,9 +174,6 @@ double run_concurrent_trial(ScenarioResult* stats_sink) {
              }},
             {"consumer", ncons,
              [&](Context& ctx) {
-                 ctx.vol->set_pipelining(true);
-                 ctx.vol->set_query_cache(true);
-
                  const auto mine = consumer_block(ctx.rank());
                  Dataspace  sel({dim_x, dim_y, dim_z});
                  sel.select_box(mine);
@@ -228,13 +214,10 @@ double run_concurrent_trial(ScenarioResult* stats_sink) {
     return seconds;
 }
 
-ScenarioResult run_scenario(const std::string& label, int trials, bool pipelined, bool cached,
-                            KernelMode kernels = KernelMode::vectorized,
-                            bool compress = false) {
+ScenarioResult run_scenario(const std::string& label, int trials, bool compress) {
     ScenarioResult res;
     res.label = label;
-    for (int t = 0; t < trials; ++t)
-        res.seconds.push_back(run_trial(pipelined, cached, kernels, compress, &res));
+    for (int t = 0; t < trials; ++t) res.seconds.push_back(run_trial(compress, &res));
     std::printf("  %-24s median %.4f s  (intersects/rank %llu, cache hits %llu)\n", label.c_str(),
                 res.median(),
                 static_cast<unsigned long long>(res.counter("n_intersect_queries")),
@@ -254,7 +237,7 @@ ScenarioResult run_concurrent_scenario(int trials) {
     return res;
 }
 
-void emit_json(const std::vector<ScenarioResult>& results, double speedup, int trials) {
+void emit_json(const std::vector<ScenarioResult>& results, int trials) {
     auto env = benchcommon::bench_envelope("query_pipeline", dim_x * dim_y * dim_z * 8 / nprod,
                                            trials);
     env.set("grid", obs::json::Value{obs::json::Array{
@@ -267,7 +250,6 @@ void emit_json(const std::vector<ScenarioResult>& results, double speedup, int t
         sc.set("wall_last_trial_seconds", r.last_wall);
         benchcommon::add_scenario(env, std::move(sc));
     }
-    env.set("speedup_pipelined_cached_vs_serial_uncached_naive", speedup);
     benchcommon::write_bench_json(env);
 }
 
@@ -285,19 +267,9 @@ int main() {
                 trials);
 
     std::vector<ScenarioResult> results;
-    results.push_back(run_scenario("serial_uncached_naive", trials,
-                                   /*pipelined=*/false, /*cached=*/false, KernelMode::naive));
-    results.push_back(run_scenario("pipelined_uncached", trials,
-                                   /*pipelined=*/true, /*cached=*/false));
-    results.push_back(run_scenario("pipelined_cached", trials,
-                                   /*pipelined=*/true, /*cached=*/true));
-    results.push_back(run_scenario("pipelined_cached_compressed", trials,
-                                   /*pipelined=*/true, /*cached=*/true, KernelMode::vectorized,
-                                   /*compress=*/true));
+    results.push_back(run_scenario("pipelined_cached", trials, /*compress=*/false));
+    results.push_back(run_scenario("pipelined_cached_compressed", trials, /*compress=*/true));
     results.push_back(run_concurrent_scenario(trials));
-
-    const double speedup = results.front().median() / results[2].median();
-    std::printf("speedup (pipelined_cached vs serial_uncached_naive): %.2fx\n", speedup);
-    emit_json(results, speedup, trials);
+    emit_json(results, trials);
     return 0;
 }

@@ -108,7 +108,7 @@ L5_DATA_THREADS=3 L5_PAR_THRESHOLD=1024 \
     -- ./build/tests/test_pool --gtest_brief=1 --gtest_filter='BytePool.*'
 
 # serve-loop and query-plane sweep: the one serve loop (inline and on
-# the serve thread) and the windowed query plane (unbounded and window 1)
+# the serve thread) and the query plane (every request out at once)
 # (50 + 50 seeds of each run in CI)
 for t in test_query_pipeline test_async_serve; do
     ./build/tools/mh5sched --seeds 1:5 --timeout 120 --jobs "$jobs" --check --race \

@@ -231,13 +231,11 @@ void ProducerClient::serve_pulls() {
 }
 
 void ProducerClient::finalize() {
-    diy::BinaryBuffer bb;
-    bb.save(static_cast<std::uint8_t>(Req::Finalize));
     // every server must hear the finalize
     for (int s = 0; s < servers_.peer_size(); ++s) {
-        diy::BinaryBuffer copy;
-        copy.save(static_cast<std::uint8_t>(Req::Finalize));
-        servers_.send(s, tag_index, std::move(copy).take());
+        diy::BinaryBuffer bb;
+        bb.save(static_cast<std::uint8_t>(Req::Finalize));
+        servers_.send(s, tag_index, std::move(bb).take());
     }
     entries_.clear();
 }

@@ -7,9 +7,7 @@
 #include <obs/trace.hpp>
 
 #include <algorithm>
-#include <atomic>
 #include <cstring>
-#include <numeric>
 
 namespace h5 {
 
@@ -28,35 +26,7 @@ std::vector<Run> collect_runs_uncoalesced(const Dataspace& space) {
     return runs;
 }
 
-// process-wide toggle: one atomic, never a bare global (see scripts/lint.py)
-std::atomic<int> g_kernel_mode{static_cast<int>(KernelMode::vectorized)};
-
 } // namespace
-
-void set_selection_kernel_mode(KernelMode mode) {
-    g_kernel_mode.store(static_cast<int>(mode), std::memory_order_relaxed);
-}
-
-KernelMode selection_kernel_mode() {
-    return static_cast<KernelMode>(g_kernel_mode.load(std::memory_order_relaxed));
-}
-
-const char* kernel_mode_name(KernelMode mode) {
-    switch (mode) {
-        case KernelMode::naive: return "naive";
-        case KernelMode::coalesced: return "coalesced";
-        case KernelMode::vectorized: return "vectorized";
-    }
-    return "?";
-}
-
-void set_naive_selection_kernels(bool enable) {
-    set_selection_kernel_mode(enable ? KernelMode::naive : KernelMode::vectorized);
-}
-
-bool naive_selection_kernels() {
-    return selection_kernel_mode() == KernelMode::naive;
-}
 
 std::vector<SelRun> selection_runs(const Dataspace& space) {
     return space.runs();
@@ -409,15 +379,14 @@ std::vector<diy::Bounds> intersect_selections(const Dataspace& a, const Dataspac
 }
 
 namespace {
-// defined with the vectorized kernels below
+// defined with the selection kernels below
 void run_segments(std::byte* dst, const std::byte* src, const std::vector<kern::Seg>& segs,
                   std::uint64_t bytes);
 } // namespace
 
 // pack/unpack have no lookup side (one selection, both layouts known), so
 // there is nothing to merge: emit one segment per coalesced run and let
-// the segment runner pick the copy width and fan-out. Byte-identical to
-// the old per-run memcpy loop in every kernel mode.
+// the segment runner pick the copy width and fan-out.
 
 void pack_selection(const Dataspace& space, const void* full, std::size_t elem, void* packed) {
     const auto* src = static_cast<const std::byte*>(full);
@@ -469,15 +438,18 @@ void copy_selected(const Dataspace& src_space, const void* src, const Dataspace&
     }
 }
 
-// --- vectorized segment runner -----------------------------------------------
+// --- selection kernels -------------------------------------------------------
 //
-// The vectorized kernels run the same O(S + D) two-pointer merge as the
-// coalesced ones, but instead of a memcpy per matched segment they
-// materialize the flat segment list {dst, src, len} and hand it to the
-// width-specialized kern:: copy kernels. Above the h5::par threshold the
-// list is split into ~equal-byte chunks (cutting large segments, so a
-// single slab-on-slab run still fans out) and executed across the pool —
-// destinations are disjoint by construction, so chunks are independent.
+// Every copy between packed layouts is one O(S + D) forward merge. The
+// walked selection and the layouts it is looked up in are visited through
+// their coalesced runs sorted by file offset; runs of one selection are
+// disjoint, so each lookup cursor only ever advances, and a slab-on-slab
+// transfer degenerates to one segment. The merge materializes the flat
+// segment list {dst, src, len} and hands it to the width-specialized kern::
+// copy kernels. Above the h5::par threshold the list is split into
+// ~equal-byte chunks (cutting large segments, so a single slab-on-slab run
+// still fans out) and executed across the pool — destinations are disjoint
+// by construction, so chunks are independent.
 
 namespace {
 
@@ -537,80 +509,20 @@ void run_segments(std::byte* dst, const std::byte* src, const std::vector<kern::
     });
 }
 
-void extract_from_packed_vec(const Dataspace& piece_space, const void* piece_packed,
-                             const Dataspace& want, std::size_t elem,
-                             std::vector<std::byte>& out) {
-    const auto& pruns = piece_space.runs_by_file();
-    const auto& wruns = want.runs_by_file();
-
-    const auto*         src   = static_cast<const std::byte*>(piece_packed);
-    const auto          base  = out.size();
-    const std::uint64_t bytes = want.npoints() * elem;
-    out.resize(base + bytes);
-    auto* dst = out.data() + base;
-
-    std::vector<kern::Seg> segs;
-    segs.reserve(wruns.size());
-    std::size_t pi = 0;
-    for (const auto& w : wruns) {
-        std::uint64_t copied = 0;
-        while (copied < w.len) {
-            const std::uint64_t target = w.file_off + copied;
-            while (pi < pruns.size() && pruns[pi].file_off + pruns[pi].len <= target) ++pi;
-            if (pi == pruns.size() || pruns[pi].file_off > target)
-                throw Error("h5: extract_from_packed: requested element not covered by piece");
-            const std::uint64_t within = target - pruns[pi].file_off;
-            const std::uint64_t take   = std::min(pruns[pi].len - within, w.len - copied);
-            segs.push_back({(w.packed_off + copied) * elem,
-                            (pruns[pi].packed_off + within) * elem, take * elem});
-            copied += take;
-        }
-    }
-    run_segments(dst, src, segs, bytes);
-}
-
-void scatter_into_packed_vec(const Dataspace& dest_space, void* dest_packed, const Dataspace& sub,
-                             const void* sub_packed, std::size_t elem) {
-    const auto& druns = dest_space.runs_by_file();
+/// Copy `sub` from `src_packed`, laid out in `piece`'s iteration order,
+/// into `dst_packed`, laid out in `dest`'s: one forward merge over the
+/// three file-ordered run lists, so sub's own packed layout never
+/// materializes. Extract is the case dest == sub, scatter piece == sub.
+void merge_copy(const char* who, const Dataspace& piece, const void* src_packed,
+                const Dataspace& sub, const Dataspace& dest, void* dst_packed, std::size_t elem) {
+    const auto& pruns = piece.runs_by_file();
     const auto& sruns = sub.runs_by_file();
+    const auto& druns = dest.runs_by_file();
 
-    auto*       dst = static_cast<std::byte*>(dest_packed);
-    const auto* src = static_cast<const std::byte*>(sub_packed);
+    auto*       dst = static_cast<std::byte*>(dst_packed);
+    const auto* src = static_cast<const std::byte*>(src_packed);
 
     std::vector<kern::Seg> segs;
-    segs.reserve(sruns.size());
-    std::size_t di = 0;
-    for (const auto& s : sruns) {
-        std::uint64_t copied = 0;
-        while (copied < s.len) {
-            const std::uint64_t target = s.file_off + copied;
-            while (di < druns.size() && druns[di].file_off + druns[di].len <= target) ++di;
-            if (di == druns.size() || druns[di].file_off > target)
-                throw Error("h5: scatter_into_packed: element not covered by destination");
-            const std::uint64_t within = target - druns[di].file_off;
-            const std::uint64_t take   = std::min(druns[di].len - within, s.len - copied);
-            segs.push_back({(druns[di].packed_off + within) * elem,
-                            (s.packed_off + copied) * elem, take * elem});
-            copied += take;
-        }
-    }
-    run_segments(dst, src, segs, sub.npoints() * elem);
-}
-
-void copy_piece_into_packed_vec(const Dataspace& piece_space, const void* piece_packed,
-                                const Dataspace& sub, const Dataspace& dest_space,
-                                void* dest_packed, std::size_t elem) {
-    const auto& pruns = piece_space.runs_by_file();
-    const auto& druns = dest_space.runs_by_file();
-
-    auto*       dst = static_cast<std::byte*>(dest_packed);
-    const auto* src = static_cast<const std::byte*>(piece_packed);
-
-    // one forward merge over three file-ordered run lists: sub's own
-    // packed layout never materializes, so each matched segment goes
-    // straight from the piece's layout to the destination's
-    std::vector<kern::Seg> segs;
-    const auto&            sruns = sub.runs_by_file();
     segs.reserve(sruns.size());
     std::size_t pi = 0, di = 0;
     for (const auto& s : sruns) {
@@ -619,10 +531,10 @@ void copy_piece_into_packed_vec(const Dataspace& piece_space, const void* piece_
             const std::uint64_t target = s.file_off + copied;
             while (pi < pruns.size() && pruns[pi].file_off + pruns[pi].len <= target) ++pi;
             if (pi == pruns.size() || pruns[pi].file_off > target)
-                throw Error("h5: copy_piece_into_packed: element not covered by piece");
+                throw Error(std::string("h5: ") + who + ": element not covered by piece");
             while (di < druns.size() && druns[di].file_off + druns[di].len <= target) ++di;
             if (di == druns.size() || druns[di].file_off > target)
-                throw Error("h5: copy_piece_into_packed: element not covered by destination");
+                throw Error(std::string("h5: ") + who + ": element not covered by destination");
             const std::uint64_t pwithin = target - pruns[pi].file_off;
             const std::uint64_t dwithin = target - druns[di].file_off;
             const std::uint64_t take    = std::min(
@@ -635,21 +547,54 @@ void copy_piece_into_packed_vec(const Dataspace& piece_space, const void* piece_
     run_segments(dst, src, segs, sub.npoints() * elem);
 }
 
-void extract_via_mapping_vec(const Dataspace& filespace, const Dataspace& memspace,
-                             const void* membuf, const Dataspace& want, std::size_t elem,
-                             std::vector<std::byte>& out) {
+} // namespace
+
+void extract_from_packed(const Dataspace& piece_space, const void* piece_packed,
+                         const Dataspace& want, std::size_t elem, std::vector<std::byte>& out) {
+    const std::uint64_t bytes = want.npoints() * elem;
+    obs::Span           span("extract_from_packed", "h5.kernel", {{"bytes", bytes, nullptr}});
+    const auto          base = out.size();
+    out.resize(base + bytes);
+    merge_copy("extract_from_packed", piece_space, piece_packed, want, want, out.data() + base,
+               elem);
+}
+
+void scatter_into_packed(const Dataspace& dest_space, void* dest_packed, const Dataspace& sub,
+                         const void* sub_packed, std::size_t elem) {
+    obs::Span span("scatter_into_packed", "h5.kernel", {{"bytes", sub.npoints() * elem, nullptr}});
+    merge_copy("scatter_into_packed", sub, sub_packed, sub, dest_space, dest_packed, elem);
+}
+
+void copy_piece_into_packed(const Dataspace& piece_space, const void* piece_packed,
+                            const Dataspace& sub, const Dataspace& dest_space, void* dest_packed,
+                            std::size_t elem) {
+    if (sub.dims() != piece_space.dims() || sub.dims() != dest_space.dims())
+        throw Error("h5: copy_piece_into_packed: extents differ (" + piece_space.str() + ", "
+                    + sub.str() + ", " + dest_space.str() + ")");
+    obs::Span span("copy_piece_into_packed", "h5.kernel",
+                   {{"bytes", sub.npoints() * elem, nullptr}});
+    merge_copy("copy_piece_into_packed", piece_space, piece_packed, sub, dest_space, dest_packed,
+               elem);
+}
+
+void extract_via_mapping(const Dataspace& filespace, const Dataspace& memspace,
+                         const void* membuf, const Dataspace& want, std::size_t elem,
+                         std::vector<std::byte>& out) {
+    const std::uint64_t bytes = want.npoints() * elem;
+    obs::Span           span("extract_via_mapping", "h5.kernel", {{"bytes", bytes, nullptr}});
     if (filespace.npoints() != memspace.npoints())
         throw Error("h5: extract_via_mapping: filespace/memspace sizes differ");
 
     const auto& fruns = filespace.runs_by_file();
     const auto& mruns = memspace.runs(); // increasing packed_off by construction
 
-    const auto*         src   = static_cast<const std::byte*>(membuf);
-    const auto          base  = out.size();
-    const std::uint64_t bytes = want.npoints() * elem;
+    const auto* src  = static_cast<const std::byte*>(membuf);
+    const auto  base = out.size();
     out.resize(base + bytes);
     auto* dst = out.data() + base;
 
+    // enumeration position -> memory buffer offset; positions are not
+    // monotonic across want runs, so the memory side keeps a binary search
     auto mem_locate = [&](std::uint64_t pos, std::uint64_t& buf_off, std::uint64_t& avail) {
         auto it = std::upper_bound(mruns.begin(), mruns.end(), pos,
                                    [](std::uint64_t v, const Run& r) { return v < r.packed_off; });
@@ -686,170 +631,11 @@ void extract_via_mapping_vec(const Dataspace& filespace, const Dataspace& memspa
     run_segments(dst, src, segs, bytes);
 }
 
-} // namespace
-
-// --- coalesced two-pointer kernels -------------------------------------------
-//
-// Both the "moving" side (the selection being walked) and the "lookup"
-// side (the space being addressed) are visited through their coalesced
-// runs sorted by file offset. Because runs of one selection are disjoint,
-// the lookup cursor only ever advances: a single O(S + D) forward merge
-// replaces a binary search per walked row. A slab-on-slab transfer
-// degenerates to one memcpy.
-
-void extract_from_packed(const Dataspace& piece_space, const void* piece_packed,
-                         const Dataspace& want, std::size_t elem, std::vector<std::byte>& out) {
-    const KernelMode mode = selection_kernel_mode();
-    obs::Span span("extract_from_packed", "h5.kernel",
-                   {{"bytes", want.npoints() * elem, nullptr},
-                    {"mode", 0, kernel_mode_name(mode)}});
-    if (mode == KernelMode::naive)
-        return extract_from_packed_naive(piece_space, piece_packed, want, elem, out);
-    if (mode == KernelMode::vectorized)
-        return extract_from_packed_vec(piece_space, piece_packed, want, elem, out);
-
-    const auto& pruns = piece_space.runs_by_file();
-    const auto& wruns = want.runs_by_file();
-
-    const auto* src  = static_cast<const std::byte*>(piece_packed);
-    const auto  base = out.size();
-    out.resize(base + want.npoints() * elem);
-    auto* dst = out.data() + base;
-
-    std::size_t pi = 0;
-    for (const auto& w : wruns) {
-        std::uint64_t copied = 0;
-        while (copied < w.len) {
-            const std::uint64_t target = w.file_off + copied;
-            while (pi < pruns.size() && pruns[pi].file_off + pruns[pi].len <= target) ++pi;
-            if (pi == pruns.size() || pruns[pi].file_off > target)
-                throw Error("h5: extract_from_packed: requested element not covered by piece");
-            const std::uint64_t within = target - pruns[pi].file_off;
-            const std::uint64_t take   = std::min(pruns[pi].len - within, w.len - copied);
-            std::memcpy(dst + (w.packed_off + copied) * elem,
-                        src + (pruns[pi].packed_off + within) * elem, take * elem);
-            copied += take;
-        }
-    }
-}
-
-void scatter_into_packed(const Dataspace& dest_space, void* dest_packed, const Dataspace& sub,
-                         const void* sub_packed, std::size_t elem) {
-    const KernelMode mode = selection_kernel_mode();
-    obs::Span span("scatter_into_packed", "h5.kernel",
-                   {{"bytes", sub.npoints() * elem, nullptr},
-                    {"mode", 0, kernel_mode_name(mode)}});
-    if (mode == KernelMode::naive)
-        return scatter_into_packed_naive(dest_space, dest_packed, sub, sub_packed, elem);
-    if (mode == KernelMode::vectorized)
-        return scatter_into_packed_vec(dest_space, dest_packed, sub, sub_packed, elem);
-
-    const auto& druns = dest_space.runs_by_file();
-    const auto& sruns = sub.runs_by_file();
-
-    auto*       dst = static_cast<std::byte*>(dest_packed);
-    const auto* src = static_cast<const std::byte*>(sub_packed);
-
-    std::size_t di = 0;
-    for (const auto& s : sruns) {
-        std::uint64_t copied = 0;
-        while (copied < s.len) {
-            const std::uint64_t target = s.file_off + copied;
-            while (di < druns.size() && druns[di].file_off + druns[di].len <= target) ++di;
-            if (di == druns.size() || druns[di].file_off > target)
-                throw Error("h5: scatter_into_packed: element not covered by destination");
-            const std::uint64_t within = target - druns[di].file_off;
-            const std::uint64_t take   = std::min(druns[di].len - within, s.len - copied);
-            std::memcpy(dst + (druns[di].packed_off + within) * elem,
-                        src + (s.packed_off + copied) * elem, take * elem);
-            copied += take;
-        }
-    }
-}
-
-void copy_piece_into_packed(const Dataspace& piece_space, const void* piece_packed,
-                            const Dataspace& sub, const Dataspace& dest_space, void* dest_packed,
-                            std::size_t elem) {
-    if (sub.dims() != piece_space.dims() || sub.dims() != dest_space.dims())
-        throw Error("h5: copy_piece_into_packed: extents differ (" + piece_space.str() + ", "
-                    + sub.str() + ", " + dest_space.str() + ")");
-    const KernelMode mode = selection_kernel_mode();
-    obs::Span span("copy_piece_into_packed", "h5.kernel",
-                   {{"bytes", sub.npoints() * elem, nullptr},
-                    {"mode", 0, kernel_mode_name(mode)}});
-    if (mode == KernelMode::vectorized)
-        return copy_piece_into_packed_vec(piece_space, piece_packed, sub, dest_space,
-                                          dest_packed, elem);
-    // the oracle modes compose the two-step kernels through a staging
-    // buffer, so the single-pass merge above has an independent reference
-    std::vector<std::byte> staged;
-    extract_from_packed(piece_space, piece_packed, sub, elem, staged);
-    scatter_into_packed(dest_space, dest_packed, sub, staged.data(), elem);
-}
-
-void extract_via_mapping(const Dataspace& filespace, const Dataspace& memspace,
-                         const void* membuf, const Dataspace& want, std::size_t elem,
-                         std::vector<std::byte>& out) {
-    const KernelMode mode = selection_kernel_mode();
-    obs::Span span("extract_via_mapping", "h5.kernel",
-                   {{"bytes", want.npoints() * elem, nullptr},
-                    {"mode", 0, kernel_mode_name(mode)}});
-    if (mode == KernelMode::naive)
-        return extract_via_mapping_naive(filespace, memspace, membuf, want, elem, out);
-    if (mode == KernelMode::vectorized)
-        return extract_via_mapping_vec(filespace, memspace, membuf, want, elem, out);
-
-    if (filespace.npoints() != memspace.npoints())
-        throw Error("h5: extract_via_mapping: filespace/memspace sizes differ");
-
-    const auto& fruns = filespace.runs_by_file();
-    const auto& mruns = memspace.runs(); // increasing packed_off by construction
-
-    const auto* src  = static_cast<const std::byte*>(membuf);
-    const auto  base = out.size();
-    out.resize(base + want.npoints() * elem);
-    auto* dst = out.data() + base;
-
-    // enumeration position -> memory buffer offset; positions are not
-    // monotonic across want runs, so the memory side keeps a binary search
-    auto mem_locate = [&](std::uint64_t pos, std::uint64_t& buf_off, std::uint64_t& avail) {
-        auto it = std::upper_bound(mruns.begin(), mruns.end(), pos,
-                                   [](std::uint64_t v, const Run& r) { return v < r.packed_off; });
-        if (it == mruns.begin()) throw Error("h5: extract_via_mapping: bad enumeration position");
-        --it;
-        std::uint64_t within = pos - it->packed_off;
-        if (within >= it->len) throw Error("h5: extract_via_mapping: bad enumeration position");
-        buf_off = it->file_off + within;
-        avail   = it->len - within;
-    };
-
-    std::size_t fi = 0;
-    for (const auto& w : want.runs_by_file()) {
-        std::uint64_t copied = 0;
-        while (copied < w.len) {
-            const std::uint64_t target = w.file_off + copied;
-            while (fi < fruns.size() && fruns[fi].file_off + fruns[fi].len <= target) ++fi;
-            if (fi == fruns.size() || fruns[fi].file_off > target)
-                throw Error("h5: extract_via_mapping: requested element not covered");
-            const std::uint64_t within  = target - fruns[fi].file_off;
-            const std::uint64_t avail_f = fruns[fi].len - within;
-            const std::uint64_t pos     = fruns[fi].packed_off + within;
-
-            std::uint64_t buf_off = 0, avail_m = 0;
-            mem_locate(pos, buf_off, avail_m);
-
-            const std::uint64_t take = std::min({avail_f, avail_m, w.len - copied});
-            std::memcpy(dst + (w.packed_off + copied) * elem, src + buf_off * elem, take * elem);
-            copied += take;
-        }
-    }
-}
-
 // --- naive reference kernels -------------------------------------------------
 //
 // The pre-coalescing implementations: rebuild the (uncoalesced) run list
 // on every call and binary-search it per walked row. Kept byte-compatible
-// as the property-test oracle and the benchmark baseline.
+// as the property-test oracle; no production path calls them.
 
 void extract_from_packed_naive(const Dataspace& piece_space, const void* piece_packed,
                                const Dataspace& want, std::size_t elem,

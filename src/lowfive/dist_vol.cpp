@@ -49,34 +49,34 @@ void fan_out(const simmpi::Comm& ic, const A&... fields) {
     for (int p = 0; p < ic.peer_size(); ++p) ic.send_shared(p, M::tag, payload);
 }
 
-/// One request kind's in-flight window on the query plane (Algorithm 3).
-/// The request is encoded once; each queued target gets it as soon as
-/// fewer than `window` are out, and every reply must carry the read's
-/// request id and come from a target with a request out.
+/// Zero-copy serve: a Deep piece's reply aliases its packed buffer for
+/// any sub-selection of at least this many bytes; smaller ones ride
+/// inline (a second message per piece has fixed protocol cost).
+constexpr std::uint64_t zero_copy_min_bytes = 64 * 1024;
+
+/// One request kind's requests in flight on the query plane
+/// (Algorithm 3). The request is encoded once and goes to each target as
+/// soon as it is named; every reply must carry the read's request id and
+/// come from a target with a request out.
 template <class Reply>
 struct Flight {
     const simmpi::Comm&    ic;
-    std::size_t            window;
     std::vector<std::byte> request;
     obs::Counter&          sent;
-    std::deque<int>        queued;
     std::set<int>          inflight;
 
-    void pump() {
-        for (; !queued.empty() && inflight.size() < window; queued.pop_front()) {
-            ic.send(queued.front(), proto::rpc_request, request.data(), request.size());
-            inflight.insert(queued.front());
-            sent.inc();
-        }
+    void send(int target) {
+        ic.send(target, proto::rpc_request, request.data(), request.size());
+        inflight.insert(target);
+        sent.inc();
     }
 
     /// The next reply's header in arrival order (`in` keeps the reply,
-    /// positioned past it); its slot goes to the next target.
+    /// positioned past it).
     Reply next(std::uint64_t id, diy::BinaryBuffer& in, int& from) {
         auto reply = proto::recv<Reply>(ic, simmpi::any_source, &in, &from);
         if (reply.id != id || inflight.erase(from) == 0)
             throw Error("lowfive: query reply with unexpected id or source");
-        pump();
         return reply;
     }
 };
@@ -647,7 +647,7 @@ void DistMetadataVol::handle_read_request(std::size_t ci, int src, diy::BinaryBu
             // the piece's own packed copy of its whole selection, if any
             const std::vector<std::byte>* packed = piece->packed_bytes();
             const bool whole = sub.npoints() == piece->filespace.npoints(); // sub ⊆ piece
-            if (packed && !compress_this && nbytes >= zero_copy_min_bytes_) {
+            if (packed && !compress_this && nbytes >= zero_copy_min_bytes) {
                 proto::append<proto::Piece>(reply, sub, nbytes, proto::Enc::Alias);
                 proto::append<proto::AliasTail>(reply, piece->filespace);
                 // owning alias: the payload shares the snapshot's
@@ -1132,62 +1132,55 @@ void DistMetadataVol::remote_dataset_read(FileEntry& f, Object* node, const Data
     // which producers answer it? The file's cache is valid for exactly
     // one publish version: a rewrite bumps it, which both prevents stale
     // hits and evicts the dead generation eagerly.
-    std::string               key;
+    std::string key    = dset;
+    const auto  corner = static_cast<std::size_t>(bb.dim) * sizeof(std::int64_t);
+    key.push_back('\0');
+    key.append(reinterpret_cast<const char*>(bb.min.data()), corner);
+    key.append(reinterpret_cast<const char*>(bb.max.data()), corner);
+    FileCache& fc = producer_cache_[f.name];
+    if (fc.version != f.version) {
+        fc.sets.clear();
+        fc.version = f.version;
+    }
     std::vector<std::int32_t> producers;
-    bool                      cached = false;
-    FileCache*                fc     = nullptr;
-    if (query_cache_) {
-        const auto corner = static_cast<std::size_t>(bb.dim) * sizeof(std::int64_t);
-        key               = dset;
-        key.push_back('\0');
-        key.append(reinterpret_cast<const char*>(bb.min.data()), corner);
-        key.append(reinterpret_cast<const char*>(bb.max.data()), corner);
-        fc = &producer_cache_[f.name];
-        if (fc->version != f.version) {
-            fc->sets.clear();
-            fc->version = f.version;
-        }
-        if (auto it = fc->sets.find(key); it != fc->sets.end()) {
-            producers = it->second;
-            cached    = true;
-            c_cache_hits_.inc();
-            obs::instant("cache.hit", "lowfive",
-                         {{"producers", producers.size(), nullptr}});
-        } else {
-            c_cache_misses_.inc();
-            obs::instant("cache.miss", "lowfive");
-        }
+    const auto                hit    = fc.sets.find(key);
+    const bool                cached = hit != fc.sets.end();
+    if (cached) {
+        producers = hit->second;
+        c_cache_hits_.inc();
+        obs::instant("cache.hit", "lowfive", {{"producers", producers.size(), nullptr}});
+    } else {
+        c_cache_misses_.inc();
+        obs::instant("cache.miss", "lowfive");
     }
 
     // negotiate wire compression per (file, dataset): the request
     // advertises whether this consumer accepts codec frames in the reply
     const bool accept_codec = matches(compress_, stream::base_name(f.name), dset);
 
-    // one request id per read, encoded once per request kind; at most
-    // `window` intersect and `window` data requests are out at a time.
-    // Both name the version this consumer opened, so the reply is
-    // byte-identical to the opened file even during a rewrite.
-    const std::size_t                window = pipelining_ ? SIZE_MAX : 1;
-    const std::uint64_t              id     = next_req_id_++;
-    Flight<proto::DataReply>         data{conn.ic, window,
+    // one request id per read, encoded once per request kind; every
+    // intersect query goes out up front and every data query as soon as
+    // its producer is named. Both name the version this consumer opened,
+    // so the reply is byte-identical to the opened file even during a
+    // rewrite.
+    const std::uint64_t      id = next_req_id_++;
+    Flight<proto::DataReply> data{conn.ic,
                                   proto::encode<proto::DataQuery>(id, f.name, dset, f.version,
                                                                   filespace, accept_codec),
-                                  c_data_queries_, {}, {}};
+                                  c_data_queries_, {}};
 
     if (cached) {
         // cache hit: skip the intersect round entirely
-        data.queued.assign(producers.begin(), producers.end());
-        data.pump();
+        for (auto p : producers) data.send(p);
     } else {
         obs::ScopedTimerNs i_timer(c_t_intersect_ns_);
         obs::Span          i_span("query.intersect", "lowfive");
         Flight<proto::IntersectReply> isect{
-            conn.ic, window, proto::encode<proto::IntersectQuery>(id, f.name, dset, f.version, bb),
-            c_intersect_queries_, {}, {}};
-        for (int p : decomp.intersecting_blocks(bb)) isect.queued.push_back(p);
-        isect.pump();
+            conn.ic, proto::encode<proto::IntersectQuery>(id, f.name, dset, f.version, bb),
+            c_intersect_queries_, {}};
+        for (int p : decomp.intersecting_blocks(bb)) isect.send(p);
         // drain replies in arrival order (they may complete out of rank
-        // order); a data query is queued the moment a reply first names a
+        // order); a data query goes out the moment a reply first names a
         // producer, overlapping with the rest of the intersect round
         std::set<std::int32_t> seen;
         while (!isect.inflight.empty()) {
@@ -1196,12 +1189,11 @@ void DistMetadataVol::remote_dataset_read(FileEntry& f, Object* node, const Data
             const auto        reply = isect.next(id, in, from);
             proto::expect_end(in);
             for (auto r : reply.ranks)
-                if (seen.insert(r).second) data.queued.push_back(r);
-            data.pump();
+                if (seen.insert(r).second) data.send(r);
         }
         producers.assign(seen.begin(), seen.end());
+        fc.sets[key] = producers;
     }
-    if (query_cache_ && !cached) fc->sets[key] = producers;
 
     // Step 2: scatter the replies as they arrive
     obs::ScopedTimerNs d_timer(c_t_data_ns_);

@@ -88,24 +88,6 @@ public:
 
     ~DistMetadataVol() override;
 
-    /// Consumer-side request window: a remote read keeps at most W
-    /// intersect and W data requests in flight, drains replies in arrival
-    /// order (matched by request id and source), and queues each data
-    /// query the moment a producer is first named. True (default) is
-    /// W = unbounded: every intersect query goes out up front and every
-    /// data query as soon as its producer is named. False is W = 1, the
-    /// serial baseline: one request of each kind in flight at a time.
-    void set_pipelining(bool v) { pipelining_ = v; }
-
-    /// Consumer-side producer-set cache: when true (default), the set of
-    /// producer ranks answering a (file, dataset, query-bounds) triple is
-    /// remembered, so repeated reads skip the intersect round entirely.
-    /// Invalidated when the consumer closes or drops the file.
-    void set_query_cache(bool v) {
-        query_cache_ = v;
-        if (!v) producer_cache_.clear();
-    }
-
     /// Wire compression, negotiated per (file, dataset): data queries for
     /// datasets matching any registered glob pair advertise that the
     /// reply may be compressed; the serving side then wraps each piece
@@ -121,15 +103,6 @@ public:
     /// Serve side: pieces smaller than this many bytes are never
     /// compressed (header + codec overhead would dominate). Default 4 KiB.
     void set_compress_min_bytes(std::uint64_t n) { compress_min_bytes_ = n; }
-
-    /// Serve side: when a piece owns a packed copy, the reply aliases
-    /// that buffer on the wire for any sub-selection the query wants,
-    /// instead of extracting it — zero serve-side copies; the consumer
-    /// copies the sub-selection straight out of the alias. Selections
-    /// smaller than this many bytes are copied inline instead (a second
-    /// message per piece has fixed protocol cost). Default 64 KiB;
-    /// compression takes precedence.
-    void set_zero_copy_min_bytes(std::uint64_t n) { zero_copy_min_bytes_ = n; }
 
     // --- step-versioned streaming (see stream/stream.hpp and DESIGN.md
     // § Streaming transport): producers publish immutable versioned
@@ -310,13 +283,10 @@ private:
     std::vector<Conn> serve_conns_;
     std::vector<Conn> consume_conns_;
     bool              serve_on_close_ = true;
-    bool              pipelining_     = true;
-    bool              query_cache_    = true;
 
     // wire-compression negotiation (consumer advertises, producer encodes)
     std::vector<PatternPair> compress_;
-    std::uint64_t            compress_min_bytes_  = 4096;
-    std::uint64_t            zero_copy_min_bytes_ = 65536;
+    std::uint64_t            compress_min_bytes_ = 4096;
 
     // consumer state (touched only by the consumer's own thread): the
     // producer sets learned for one remote file, valid for exactly one

@@ -240,6 +240,17 @@ TEST(SelectionAlgebra, ExtractUncoveredThrows) {
     EXPECT_THROW(extract_from_packed(piece, packed.data(), want, 4, out), Error);
 }
 
+TEST(SelectionAlgebra, ScatterUncoveredThrows) {
+    Dataspace dest({4, 4});
+    dest.select_box(box2(0, 2, 0, 2));
+    std::vector<std::uint32_t> dest_packed(4, 0);
+    // sub overlaps dest at (1,1) only; (1,2), (2,1), (2,2) have no slot
+    Dataspace sub({4, 4});
+    sub.select_box(box2(1, 3, 1, 3));
+    std::vector<std::uint32_t> sub_packed{1, 2, 3, 4};
+    EXPECT_THROW(scatter_into_packed(dest, dest_packed.data(), sub, sub_packed.data(), 4), Error);
+}
+
 TEST(SelectionAlgebra, ScatterIntoPackedInverse) {
     Dataspace dest({6, 6});
     dest.select_box(box2(0, 6, 0, 6));

@@ -1,9 +1,10 @@
 /// Property tests for the data-plane copy kernels: the width-specialized
-/// kern:: copy primitives, byte identity of the three selection kernel
-/// modes (naive / coalesced / vectorized) across odd element widths and
-/// degenerate selections, the fused piece → destination copy against its
-/// two-step oracle, pool-on/off identity, and schedule-hash replay
-/// with the pool forced on under the deterministic scheduler.
+/// kern:: copy primitives, byte identity of the production selection
+/// kernels against the naive oracle across odd element widths, strided
+/// and multi-run selections and degenerate selections, each run inline
+/// and fanned out across the pool, the fused piece → destination copy
+/// against its two-step oracle, and schedule-hash replay with the pool
+/// forced on under the deterministic scheduler.
 
 #include <h5/copy.hpp>
 #include <h5/par.hpp>
@@ -26,18 +27,30 @@ using namespace h5;
 
 namespace {
 
-/// Restore the process-wide kernel/pool knobs on scope exit so a failing
-/// assertion cannot leak a mode into later tests.
+/// Restore the process-wide pool knobs on scope exit so a failing
+/// assertion cannot leak a setting into later tests.
 struct KernelEnvGuard {
-    KernelMode  mode   = selection_kernel_mode();
     bool        pool   = par::enabled();
     std::size_t thresh = par::parallel_threshold_bytes();
     ~KernelEnvGuard() {
-        set_selection_kernel_mode(mode);
         par::set_enabled(pool);
         par::set_parallel_threshold_bytes(thresh);
     }
 };
+
+/// The kernels' two execution modes: run `body(fan_out)` inline and,
+/// when the pool has workers, again with every copy fanned out across it.
+template <class F>
+void in_both_modes(const KernelEnvGuard& guard, F&& body) {
+    for (bool fan_out : {false, true}) {
+        if (fan_out && par::workers() < 1) continue;
+        par::set_enabled(fan_out);
+        par::set_parallel_threshold_bytes(fan_out ? 1 : guard.thresh);
+        body(fan_out);
+    }
+    par::set_enabled(guard.pool);
+    par::set_parallel_threshold_bytes(guard.thresh);
+}
 
 std::vector<std::byte> pattern_buffer(std::size_t n, unsigned salt) {
     std::vector<std::byte> buf(n);
@@ -70,6 +83,31 @@ void random_partition(std::mt19937& rng, const diy::Bounds& domain, int depth,
     right.min[u] = cut;
     random_partition(rng, left, depth - 1, out);
     random_partition(rng, right, depth - 1, out);
+}
+
+Dataspace from_boxes(const Extent& dims, const std::vector<diy::Bounds>& boxes) {
+    Dataspace sp(dims);
+    sp.select_none();
+    for (const auto& b : boxes) sp.add_box(b);
+    return sp;
+}
+
+/// A random strided selection: a regular hyperslab with per-axis
+/// start/stride/block drawn to fit `dims`.
+Dataspace random_strided(std::mt19937& rng, const Extent& dims) {
+    std::vector<std::uint64_t> start, stride, count, block;
+    for (auto n : dims) {
+        const std::uint64_t blk = 1 + rng() % std::max<std::uint64_t>(1, n / 3);
+        const std::uint64_t st  = blk + rng() % 3;
+        const std::uint64_t s0  = rng() % std::min<std::uint64_t>(n - blk + 1, 3);
+        start.push_back(s0);
+        stride.push_back(st);
+        block.push_back(blk);
+        count.push_back(1 + (n - s0 - blk) / st);
+    }
+    Dataspace sp(dims);
+    sp.select_hyperslab(start, stride, count, block);
+    return sp;
 }
 
 } // namespace
@@ -129,38 +167,20 @@ TEST(KernCopy, SegmentsIncludingZeroLength) {
     EXPECT_EQ(dst, ref);
 }
 
-// --- kernel-mode byte identity ----------------------------------------------
+// --- production kernels against the naive oracle ----------------------------
 
 namespace {
 
 /// Run extract_from_packed / scatter_into_packed / extract_via_mapping /
-/// pack / unpack under `mode` and compare byte-for-byte against the
-/// naive oracle outputs computed by the *_naive entry points.
-void check_modes_identical(std::mt19937& rng, std::size_t elem) {
+/// pack / unpack in both execution modes and compare byte-for-byte
+/// against the outputs of the *_naive oracle entry points. `piece` must
+/// cover `want`.
+void check_against_oracle(const Dataspace& piece, const Dataspace& want, std::size_t elem) {
     KernelEnvGuard guard;
-
-    const Extent dims{8 + rng() % 40, 4 + rng() % 32};
-    diy::Bounds  domain(2);
-    domain.max = {static_cast<std::int64_t>(dims[0]), static_cast<std::int64_t>(dims[1])};
-
-    std::vector<diy::Bounds> pboxes;
-    random_partition(rng, domain, 4, pboxes);
-    std::shuffle(pboxes.begin(), pboxes.end(), rng);
-    Dataspace piece(dims);
-    piece.select_none();
-    for (const auto& b : pboxes) piece.add_box(b);
-
-    std::vector<diy::Bounds> wboxes;
-    random_partition(rng, domain, 5, wboxes);
-    Dataspace want(dims);
-    want.select_none();
-    for (const auto& b : wboxes)
-        if (rng() % 2) want.add_box(b);
 
     const auto piece_packed = pattern_buffer(piece.npoints() * elem, 1);
     const auto full         = pattern_buffer(piece.extent_npoints() * elem, 2);
 
-    // oracle: the naive reference entry points (mode-independent)
     std::vector<std::byte> ref_extract, ref_map;
     extract_from_packed_naive(piece, piece_packed.data(), want, elem, ref_extract);
     std::vector<std::byte> ref_scatter(piece_packed.size(), std::byte{0});
@@ -175,22 +195,18 @@ void check_modes_identical(std::mt19937& rng, std::size_t elem) {
     const auto membuf = pattern_buffer((piece.npoints() + 2 * pad) * elem, 3);
     extract_via_mapping_naive(piece, mem, membuf.data(), want, elem, ref_map);
 
-    for (KernelMode mode : {KernelMode::naive, KernelMode::coalesced, KernelMode::vectorized}) {
-        set_selection_kernel_mode(mode);
-        ASSERT_EQ(selection_kernel_mode(), mode);
-        const char* name = kernel_mode_name(mode);
-
+    in_both_modes(guard, [&](bool fan_out) {
         std::vector<std::byte> got;
         extract_from_packed(piece, piece_packed.data(), want, elem, got);
-        ASSERT_EQ(got, ref_extract) << name << " elem=" << elem;
+        ASSERT_EQ(got, ref_extract) << "elem=" << elem << " fan_out=" << fan_out;
 
         std::vector<std::byte> dst(piece_packed.size(), std::byte{0});
         scatter_into_packed(piece, dst.data(), want, got.data(), elem);
-        ASSERT_EQ(dst, ref_scatter) << name << " elem=" << elem;
+        ASSERT_EQ(dst, ref_scatter) << "elem=" << elem << " fan_out=" << fan_out;
 
         std::vector<std::byte> map_got;
         extract_via_mapping(piece, mem, membuf.data(), want, elem, map_got);
-        ASSERT_EQ(map_got, ref_map) << name << " elem=" << elem;
+        ASSERT_EQ(map_got, ref_map) << "elem=" << elem << " fan_out=" << fan_out;
 
         // pack/unpack round trip through the same Seg machinery
         std::vector<std::byte> packed(piece.npoints() * elem);
@@ -199,8 +215,34 @@ void check_modes_identical(std::mt19937& rng, std::size_t elem) {
         unpack_selection(piece, packed.data(), elem, full2.data());
         std::vector<std::byte> repacked(packed.size(), std::byte{0xAB});
         pack_selection(piece, full2.data(), elem, repacked.data());
-        ASSERT_EQ(repacked, packed) << name << " elem=" << elem;
+        ASSERT_EQ(repacked, packed) << "elem=" << elem << " fan_out=" << fan_out;
+    });
+}
+
+/// A random piece (a shuffled partition of the whole extent, so it covers
+/// any `want`) and a random `want`: a multi-run subset of an independent
+/// partition, or a strided hyperslab.
+void check_modes_identical(std::mt19937& rng, std::size_t elem) {
+    const Extent dims{8 + rng() % 40, 4 + rng() % 32};
+    diy::Bounds  domain(2);
+    domain.max = {static_cast<std::int64_t>(dims[0]), static_cast<std::int64_t>(dims[1])};
+
+    std::vector<diy::Bounds> pboxes;
+    random_partition(rng, domain, 4, pboxes);
+    std::shuffle(pboxes.begin(), pboxes.end(), rng);
+    const Dataspace piece = from_boxes(dims, pboxes);
+
+    Dataspace want(dims);
+    if (rng() % 3 == 0) {
+        want = random_strided(rng, dims);
+    } else {
+        std::vector<diy::Bounds> wboxes;
+        random_partition(rng, domain, 5, wboxes);
+        want.select_none();
+        for (const auto& b : wboxes)
+            if (rng() % 2) want.add_box(b);
     }
+    check_against_oracle(piece, want, elem);
 }
 
 } // namespace
@@ -216,6 +258,38 @@ TEST_P(KernelModeProperty, AllModesByteIdenticalOddWidths) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, KernelModeProperty, ::testing::Range(1u, 13u));
 
+class CoalescedKernelProperty : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(CoalescedKernelProperty, KernelsByteMatchNaiveReference) {
+    // full-width row bands: every band coalesces into one multi-row run,
+    // so want runs straddle several piece runs and vice versa, and the
+    // shuffled piece bands put its packed layout out of file order
+    std::mt19937 rng(GetParam());
+    const Extent       dims{24 + rng() % 40, 16 + rng() % 32};
+    const std::int64_t nx = static_cast<std::int64_t>(dims[0]);
+    const std::int64_t ny = static_cast<std::int64_t>(dims[1]);
+    auto               bands = [&] {
+        std::vector<diy::Bounds> out;
+        for (std::int64_t x = 0; x < nx;) {
+            const std::int64_t h = std::min<std::int64_t>(1 + rng() % 7, nx - x);
+            diy::Bounds        b(2);
+            b.min = {x, 0};
+            b.max = {x + h, ny};
+            out.push_back(b);
+            x += h;
+        }
+        return out;
+    };
+    auto pboxes = bands();
+    std::shuffle(pboxes.begin(), pboxes.end(), rng);
+    std::vector<diy::Bounds> wboxes;
+    for (const auto& b : bands())
+        if (rng() % 2) wboxes.push_back(b);
+    check_against_oracle(from_boxes(dims, pboxes), from_boxes(dims, wboxes), 4);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CoalescedKernelProperty, ::testing::Range(1u, 25u));
+
 TEST(KernelModeEdge, EmptySelectionAllModes) {
     KernelEnvGuard guard;
     const Extent   dims{16, 16};
@@ -224,17 +298,16 @@ TEST(KernelModeEdge, EmptySelectionAllModes) {
     want.select_none();
 
     const auto piece_packed = pattern_buffer(piece.npoints() * 4, 11);
-    for (KernelMode mode : {KernelMode::naive, KernelMode::coalesced, KernelMode::vectorized}) {
-        set_selection_kernel_mode(mode);
+    in_both_modes(guard, [&](bool fan_out) {
         std::vector<std::byte> out;
         extract_from_packed(piece, piece_packed.data(), want, 4, out);
-        EXPECT_TRUE(out.empty()) << kernel_mode_name(mode);
+        EXPECT_TRUE(out.empty()) << "fan_out=" << fan_out;
 
         auto      dst = piece_packed;
         std::byte dummy{};
         scatter_into_packed(piece, dst.data(), want, &dummy, 4);
-        EXPECT_EQ(dst, piece_packed) << kernel_mode_name(mode); // untouched
-    }
+        EXPECT_EQ(dst, piece_packed) << "fan_out=" << fan_out; // untouched
+    });
 }
 
 TEST(KernelModeEdge, SingleElementRowsOddWidths) {
@@ -253,28 +326,25 @@ TEST(KernelModeEdge, SingleElementRowsOddWidths) {
             if ((x + y) % 2 == 0) piece.add_box(b);
             if ((x + y) % 4 == 0) cells.push_back(b);
         }
-    Dataspace want(dims);
-    want.select_none();
-    for (const auto& b : cells) want.add_box(b);
+    const Dataspace want = from_boxes(dims, cells);
 
     for (std::size_t elem = 1; elem <= 7; ++elem) {
         const auto packed = pattern_buffer(piece.npoints() * elem, static_cast<unsigned>(elem));
         std::vector<std::byte> ref;
         extract_from_packed_naive(piece, packed.data(), want, elem, ref);
         ASSERT_EQ(ref.size(), want.npoints() * elem);
+        std::vector<std::byte> dst_ref(packed.size(), std::byte{0});
+        scatter_into_packed_naive(piece, dst_ref.data(), want, ref.data(), elem);
 
-        for (KernelMode mode : {KernelMode::coalesced, KernelMode::vectorized}) {
-            set_selection_kernel_mode(mode);
+        in_both_modes(guard, [&](bool fan_out) {
             std::vector<std::byte> got;
             extract_from_packed(piece, packed.data(), want, elem, got);
-            ASSERT_EQ(got, ref) << kernel_mode_name(mode) << " elem=" << elem;
+            ASSERT_EQ(got, ref) << "elem=" << elem << " fan_out=" << fan_out;
 
             std::vector<std::byte> dst_got(packed.size(), std::byte{0});
-            std::vector<std::byte> dst_ref(packed.size(), std::byte{0});
             scatter_into_packed(piece, dst_got.data(), want, got.data(), elem);
-            scatter_into_packed_naive(piece, dst_ref.data(), want, ref.data(), elem);
-            ASSERT_EQ(dst_got, dst_ref) << kernel_mode_name(mode) << " elem=" << elem;
-        }
+            ASSERT_EQ(dst_got, dst_ref) << "elem=" << elem << " fan_out=" << fan_out;
+        });
     }
 }
 
@@ -282,34 +352,9 @@ TEST(KernelModeEdge, SingleElementRowsOddWidths) {
 
 namespace {
 
-Dataspace from_boxes(const Extent& dims, const std::vector<diy::Bounds>& boxes) {
-    Dataspace sp(dims);
-    sp.select_none();
-    for (const auto& b : boxes) sp.add_box(b);
-    return sp;
-}
-
-/// A random strided selection: a regular hyperslab with per-axis
-/// start/stride/block drawn to fit `dims`.
-Dataspace random_strided(std::mt19937& rng, const Extent& dims) {
-    std::vector<std::uint64_t> start, stride, count, block;
-    for (auto n : dims) {
-        const std::uint64_t blk = 1 + rng() % std::max<std::uint64_t>(1, n / 3);
-        const std::uint64_t st  = blk + rng() % 3;
-        const std::uint64_t s0  = rng() % std::min<std::uint64_t>(n - blk + 1, 3);
-        start.push_back(s0);
-        stride.push_back(st);
-        block.push_back(blk);
-        count.push_back(1 + (n - s0 - blk) / st);
-    }
-    Dataspace sp(dims);
-    sp.select_hyperslab(start, stride, count, block);
-    return sp;
-}
-
-/// copy_piece_into_packed under every kernel mode (and, in vectorized
-/// mode, with the pool forced to fan out) against the two-step naive
-/// oracle: extract `sub` from the piece, scatter it into the destination.
+/// copy_piece_into_packed, inline and fanned out across the pool, against
+/// the two-step naive oracle: extract `sub` from the piece, scatter it
+/// into the destination.
 void check_fused_copy(std::mt19937& rng, std::size_t elem) {
     KernelEnvGuard guard;
 
@@ -349,20 +394,13 @@ void check_fused_copy(std::mt19937& rng, std::size_t elem) {
     auto ref = dest_init;
     scatter_into_packed_naive(dest, ref.data(), sub, staged.data(), elem);
 
-    for (KernelMode mode : {KernelMode::naive, KernelMode::coalesced, KernelMode::vectorized}) {
-        set_selection_kernel_mode(mode);
-        for (bool fan_out : {false, true}) {
-            if (fan_out && (mode != KernelMode::vectorized || par::workers() < 1)) continue;
-            par::set_enabled(fan_out);
-            par::set_parallel_threshold_bytes(fan_out ? 1 : guard.thresh);
-            auto got = dest_init;
-            copy_piece_into_packed(piece, piece_packed.data(), sub, dest, got.data(), elem);
-            ASSERT_EQ(got, ref) << kernel_mode_name(mode) << " elem=" << elem
-                                << " fan_out=" << fan_out << " piece=" << piece.str()
-                                << " sub=" << sub.str() << " dest=" << dest.str();
-        }
-        par::set_enabled(guard.pool);
-    }
+    in_both_modes(guard, [&](bool fan_out) {
+        auto got = dest_init;
+        copy_piece_into_packed(piece, piece_packed.data(), sub, dest, got.data(), elem);
+        ASSERT_EQ(got, ref) << "elem=" << elem << " fan_out=" << fan_out
+                            << " piece=" << piece.str() << " sub=" << sub.str()
+                            << " dest=" << dest.str();
+    });
 }
 
 } // namespace
@@ -391,30 +429,28 @@ TEST(FusedCopy, ThrowsOnSubNotCoveredInAllModes) {
     const auto      piece_packed = pattern_buffer(piece.npoints() * 4, 9);
     std::vector<std::byte> out(dest.npoints() * 4);
 
-    for (KernelMode mode : {KernelMode::naive, KernelMode::coalesced, KernelMode::vectorized}) {
-        set_selection_kernel_mode(mode);
-        const char* name = kernel_mode_name(mode);
+    in_both_modes(guard, [&](bool fan_out) {
         // rows 4..5 lie in dest but not in the piece
         EXPECT_THROW(copy_piece_into_packed(piece, piece_packed.data(), rows(2, 6), dest,
                                             out.data(), 4),
                      h5::Error)
-            << name;
+            << "fan_out=" << fan_out;
         // rows 0..1 lie in the piece but not in dest
         EXPECT_THROW(copy_piece_into_packed(piece, piece_packed.data(), rows(0, 2), dest,
                                             out.data(), 4),
                      h5::Error)
-            << name;
+            << "fan_out=" << fan_out;
         // a sub over a different extent never matches either layout
         Dataspace other(Extent{8, 9});
         EXPECT_THROW(
             copy_piece_into_packed(piece, piece_packed.data(), other, dest, out.data(), 4),
             h5::Error)
-            << name;
+            << "fan_out=" << fan_out;
         // the covered part alone copies fine
         EXPECT_NO_THROW(copy_piece_into_packed(piece, piece_packed.data(), rows(2, 4), dest,
                                                out.data(), 4))
-            << name;
-    }
+            << "fan_out=" << fan_out;
+    });
 }
 
 // --- pool identity -----------------------------------------------------------
@@ -422,7 +458,6 @@ TEST(FusedCopy, ThrowsOnSubNotCoveredInAllModes) {
 TEST(KernelPool, PoolOnOffByteIdentity) {
     if (par::workers() < 1) GTEST_SKIP() << "pool disabled (L5_DATA_THREADS=0 or 1 hw thread)";
     KernelEnvGuard guard;
-    set_selection_kernel_mode(KernelMode::vectorized);
 
     // 2 MiB across many runs: with a 1-byte threshold this fans out into
     // multiple chunks; the result must match the inline (pool-off) path
@@ -533,7 +568,6 @@ std::uint64_t pooled_replay_run(std::uint64_t seed) {
 TEST(KernelPool, ScheduleHashReplaysWithPoolEnabled) {
     if (par::workers() < 1) GTEST_SKIP() << "pool disabled";
     KernelEnvGuard guard;
-    set_selection_kernel_mode(KernelMode::vectorized);
     par::set_enabled(true);
     par::set_parallel_threshold_bytes(1); // every transfer fans out
 

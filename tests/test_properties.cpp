@@ -706,8 +706,10 @@ TEST(GlobProperty, PrefixStarSuffix) {
         EXPECT_TRUE(lowfive::glob_match("*", s));
         EXPECT_TRUE(lowfive::glob_match(s, s));
         if (!s.empty()) {
-            EXPECT_TRUE(lowfive::glob_match(s.substr(0, s.size() / 2) + "*", s));
-            EXPECT_TRUE(lowfive::glob_match("*" + s.substr(s.size() / 2), s));
+            const std::string head = s.substr(0, s.size() / 2);
+            const std::string tail = s.substr(s.size() / 2);
+            EXPECT_TRUE(lowfive::glob_match(head + "*", s));
+            EXPECT_TRUE(lowfive::glob_match("*" + tail, s));
             std::string q = s;
             q[rng() % q.size()] = '?';
             EXPECT_TRUE(lowfive::glob_match(q, s));

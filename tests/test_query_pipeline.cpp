@@ -1,7 +1,8 @@
 /// Tests for the pipelined, cached query path (out-of-order reply
 /// completion, the consumer-side producer-set cache and its
-/// invalidation) and for the coalesced two-pointer selection kernels
-/// against their naive reference implementations.
+/// invalidation) and for the memoized coalesced runs the selection
+/// kernels walk (the kernels themselves are checked against their naive
+/// oracle in test_kernels.cpp).
 
 #include <lowfive/lowfive.hpp>
 #include <workflow/workflow.hpp>
@@ -9,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <random>
 #include <thread>
 
 using namespace h5;
@@ -207,137 +207,7 @@ TEST(QueryPipeline, SameVersionReopenHitsCache) {
         {Link{0, 1, "*"}}, opts);
 }
 
-TEST(QueryPipeline, SerialModeMatchesPipelined) {
-    // the serial reference path (no pipelining, no cache) must deliver
-    // the same bytes and re-run the intersect round on every read
-    const std::uint64_t total = 1536; // divisible by 3 producer ranks
-    workflow::run(
-        {
-            {"producer", 3, [&](Context& ctx) { write_quarter(ctx, "serial.h5", total); }},
-            {"consumer", 2,
-             [&](Context& ctx) {
-                 ctx.vol->set_pipelining(false);
-                 ctx.vol->set_query_cache(false);
-                 File f = File::open("serial.h5", ctx.vol);
-                 auto d = f.open_dataset("v");
-                 auto first = d.read_vector<std::uint64_t>();
-                 const auto n1 = ctx.vol->stats().n_intersect_queries;
-                 auto second = d.read_vector<std::uint64_t>();
-                 const auto n2 = ctx.vol->stats().n_intersect_queries;
-                 EXPECT_EQ(n2, 2 * n1); // cache off: intersects re-issued
-                 EXPECT_EQ(ctx.vol->stats().n_intersect_cache_hits, 0u);
-                 ASSERT_EQ(first, second);
-                 for (std::uint64_t i = 0; i < first.size(); ++i) ASSERT_EQ(first[i], i);
-                 f.close();
-             }},
-        },
-        {Link{0, 1, "*"}});
-}
-
-// --- kernel property tests ---------------------------------------------------
-
-namespace {
-
-/// Recursively split `domain` into random disjoint boxes.
-void random_partition(std::mt19937& rng, const diy::Bounds& domain, int depth,
-                      std::vector<diy::Bounds>& out) {
-    bool can_split = false;
-    for (int i = 0; i < domain.dim; ++i)
-        if (domain.max[static_cast<std::size_t>(i)] - domain.min[static_cast<std::size_t>(i)] >= 2)
-            can_split = true;
-    if (depth == 0 || !can_split) {
-        out.push_back(domain);
-        return;
-    }
-    int axis;
-    do {
-        axis = static_cast<int>(rng() % static_cast<unsigned>(domain.dim));
-    } while (domain.max[static_cast<std::size_t>(axis)] - domain.min[static_cast<std::size_t>(axis)] < 2);
-    auto u   = static_cast<std::size_t>(axis);
-    auto lo  = domain.min[u] + 1;
-    auto cut = lo + static_cast<std::int64_t>(rng() % static_cast<unsigned>(domain.max[u] - lo));
-
-    diy::Bounds left = domain, right = domain;
-    left.max[u]  = cut;
-    right.min[u] = cut;
-    random_partition(rng, left, depth - 1, out);
-    random_partition(rng, right, depth - 1, out);
-}
-
-} // namespace
-
-class CoalescedKernelProperty : public ::testing::TestWithParam<unsigned> {};
-
-TEST_P(CoalescedKernelProperty, KernelsByteMatchNaiveReference) {
-    std::mt19937 rng(GetParam());
-    const Extent dims{24 + rng() % 40, 16 + rng() % 32};
-    diy::Bounds  domain(2);
-    domain.max = {static_cast<std::int64_t>(dims[0]), static_cast<std::int64_t>(dims[1])};
-
-    // the piece covers the whole domain as a shuffled disjoint partition,
-    // so any `want` selection is covered
-    std::vector<diy::Bounds> pboxes;
-    random_partition(rng, domain, 4, pboxes);
-    std::shuffle(pboxes.begin(), pboxes.end(), rng);
-    Dataspace piece(dims);
-    piece.select_none();
-    for (const auto& b : pboxes) piece.add_box(b);
-
-    // `want`: a random subset of an independent partition
-    std::vector<diy::Bounds> wboxes;
-    random_partition(rng, domain, 5, wboxes);
-    Dataspace want(dims);
-    want.select_none();
-    for (const auto& b : wboxes)
-        if (rng() % 2) want.add_box(b);
-    if (want.npoints() == 0) return;
-
-    const std::size_t      elem = sizeof(std::uint32_t);
-    std::vector<std::byte> piece_packed(piece.npoints() * elem);
-    for (std::size_t i = 0; i < piece_packed.size(); ++i)
-        piece_packed[i] = static_cast<std::byte>((i * 13 + 7) & 0xff);
-
-    // extract_from_packed: coalesced two-pointer vs naive binary search
-    std::vector<std::byte> got, ref;
-    extract_from_packed(piece, piece_packed.data(), want, elem, got);
-    extract_from_packed_naive(piece, piece_packed.data(), want, elem, ref);
-    ASSERT_EQ(got, ref);
-
-    // scatter_into_packed: write the extracted bytes back through both
-    // kernels and compare destination buffers
-    std::vector<std::byte> dst_got(piece_packed.size(), std::byte{0});
-    std::vector<std::byte> dst_ref(piece_packed.size(), std::byte{0});
-    scatter_into_packed(piece, dst_got.data(), want, got.data(), elem);
-    scatter_into_packed_naive(piece, dst_ref.data(), want, ref.data(), elem);
-    ASSERT_EQ(dst_got, dst_ref);
-
-    // extract_via_mapping: the piece's enumeration mapped into a larger
-    // 1-d memory buffer at an offset
-    const std::uint64_t pad = 5;
-    Dataspace           mem(Extent{piece.npoints() + 2 * pad});
-    diy::Bounds         mb(1);
-    mb.min[0] = static_cast<std::int64_t>(pad);
-    mb.max[0] = static_cast<std::int64_t>(pad + piece.npoints());
-    mem.select_box(mb);
-    std::vector<std::byte> membuf((piece.npoints() + 2 * pad) * elem);
-    for (std::size_t i = 0; i < membuf.size(); ++i)
-        membuf[i] = static_cast<std::byte>((i * 31 + 3) & 0xff);
-
-    std::vector<std::byte> map_got, map_ref;
-    extract_via_mapping(piece, mem, membuf.data(), want, elem, map_got);
-    extract_via_mapping_naive(piece, mem, membuf.data(), want, elem, map_ref);
-    ASSERT_EQ(map_got, map_ref);
-
-    // the dispatch knob must route the public entry points to the naive
-    // kernels (the benchmark baseline path)
-    set_naive_selection_kernels(true);
-    std::vector<std::byte> via_knob;
-    extract_from_packed(piece, piece_packed.data(), want, elem, via_knob);
-    set_naive_selection_kernels(false);
-    ASSERT_EQ(via_knob, ref);
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, CoalescedKernelProperty, ::testing::Range(1u, 25u));
+// --- coalesced runs ---------------------------------------------------------
 
 TEST(CoalescedRuns, SlabCoalescesToSingleRun) {
     // full rows of a slab merge into one run per slab
